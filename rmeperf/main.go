@@ -119,5 +119,7 @@ func mainErr() int {
 	return 0
 }
 
-// nproc is the load goroutine count of the multi-worker phases.
-func nproc() int { return runtime.GOMAXPROCS(0) }
+// nproc is the load goroutine count of the multi-worker phases: one per
+// core, but no more than the table has ports, since the bare backend
+// rungs give each worker a port of its own.
+func (r *run) nproc() int { return min(runtime.GOMAXPROCS(0), r.sp.ports) }

@@ -409,7 +409,7 @@ func (r *run) endToEnd() {
 // library's work, not the wake-up latency of an idle second core, which
 // on a virtual machine swings with the host's load.
 func (r *run) closedEndToEnd(t *rme.LockTable) {
-	ws := r.workers(t, nproc(), r.sp.mix)
+	ws := r.workers(t, r.nproc(), r.sp.mix)
 	one := r.workers(t, 1, r.sp.mix)
 	defer liveCtx(append(one, ws...))()
 	ref := newRefTarget(t.Shards(), t.ShardIndex)
@@ -538,7 +538,7 @@ func (r *run) traced() {
 		r.self[i] = newReservoir(1<<16, subSeed(r.seed, uint64(1000+i)))
 	}
 	t, cc := r.table()
-	n := nproc()
+	n := r.nproc()
 	s0 := t.Stats().Total()
 	var orphans int
 	seen := map[uint8]bool{}
@@ -675,7 +675,7 @@ func (r *run) foldSleeps() {
 const keptSpans = 1 << 18
 
 func (r *run) tracedClosed(t *rme.LockTable, budget time.Duration) (orphans int) {
-	ws := r.workers(t, nproc(), r.sp.mix)
+	ws := r.workers(t, r.nproc(), r.sp.mix)
 	defer liveCtx(ws)()
 	poll := func() { orphans = max(orphans, t.Orphans()) }
 	plain, traced := r.tracedBlocks(tableTarget{t}, ws, budget, poll)
