@@ -280,7 +280,7 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 			// is single-threaded, so Lock re-establishes ownership
 			// immediately on any backend, and everything that queues later
 			// correctly queues behind the orphan.
-			sh.m().Lock(st.inCS)
+			sh.m().LockDone(st.inCS, nil)
 		}
 		for p := 0; p < ports; p++ {
 			epoch := (st.words[p] >> leaseEpochShift) + 1

@@ -1,6 +1,7 @@
 package rme
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"github.com/rmelib/rme/internal/wait"
@@ -35,7 +36,7 @@ import (
 // engaged worker leaves via CAS active→idle, which fails — and turns into
 // a re-enqueue — exactly when work arrived during delivery. The invariant
 // "a stripe is in the run queue at most once" is what lets the queue be a
-// fixed ring of Shards() slots that can never overflow.
+// fixed ring of Shards() slots whose occupancy never exceeds its capacity.
 //
 // # The run queue
 //
@@ -93,7 +94,10 @@ type runSlot struct {
 
 // runQueue is the bounded MPMC runnable-stripe ring. Capacity is the
 // next power of two at or above the stripe count; since the run-state
-// protocol admits each stripe at most once, the ring can never fill.
+// protocol admits each stripe at most once, occupancy (tail − head) never
+// exceeds capacity. A slot can still read as taken after its dequeuer
+// moved head past it: the release store of its sequence lands a moment
+// later, and an enqueue that wraps onto the slot waits for it.
 type runQueue struct {
 	mask  uint64
 	slots []runSlot
@@ -113,8 +117,11 @@ func (q *runQueue) init(stripes int) {
 	}
 }
 
-// enqueue publishes sh at the tail. Never blocks: the at-most-once
-// invariant keeps occupancy at or below the stripe count ≤ capacity.
+// enqueue publishes sh at the tail. The at-most-once invariant keeps
+// occupancy at or below the stripe count ≤ capacity, so the only wait is
+// for a slot mid-release: a dequeuer that has advanced head but not yet
+// stored the slot's release sequence, a few instructions later unless it
+// was descheduled in between.
 func (q *runQueue) enqueue(sh *lockShard) {
 	for {
 		pos := q.tail.Load()
@@ -127,11 +134,18 @@ func (q *runQueue) enqueue(sh *lockShard) {
 				return
 			}
 		} else if seq < pos {
-			// A full ring means a stripe was enqueued twice — a run-state
-			// protocol violation, never load. Fail loudly.
-			panic("rme: dispatcher run queue overflow")
+			// The slot still holds the entry of the previous lap. If
+			// occupancy is below capacity, that entry's dequeuer is
+			// between its head CAS and its release store: wait for it. A
+			// signed difference, since head may have passed this stale
+			// pos. A really full ring means a stripe was enqueued twice — a
+			// run-state protocol violation, never load. Fail loudly.
+			if int64(pos-q.head.Load()) > int64(q.mask) {
+				panic("rme: dispatcher run queue overflow")
+			}
+			runtime.Gosched()
 		}
-		// seq > pos: another producer moved tail between loads; retry.
+		// Otherwise another producer moved tail between loads; retry.
 	}
 }
 
@@ -294,7 +308,7 @@ func (e *executor) worker(id int) {
 				e.finalDrain()
 				return
 			}
-			e.idle.Wait(e.parkStrat, e.idleCond)
+			e.idle.WaitDone(e.parkStrat, e.idleCond, nil)
 			continue
 		}
 		e.runStripe(w, sh)

@@ -225,6 +225,17 @@
 //     ordinary orphan/reclaim machinery, where the table's supervisor
 //     (or a manual Reclaim) frees it like any other dead tenancy.
 //
+// Each layer runs one passage, and abort is a branch inside it, not a
+// second copy of it. The wait engine, the Signal port, every backend's
+// LockDone, the lease pool's AcquireDone and the table's keyed passage all
+// take a done channel, and a nil done never cancels: Lock(port) is
+// LockDone(port, nil) and PortLeaser.Acquire is AcquireDone(nil). When
+// done fires mid-wait, the passage takes its abort branch, which returns
+// with the port left in the crash state of the step it abandoned. A
+// passage that finds its port mid-protocol on entry is a recovery, and
+// runs with a nil done whatever the caller passed, so recovery always
+// completes and returns holding the critical section.
+//
 // TryLock is allocation-free and conservative: it may return false under
 // momentary contention (it refuses to queue), but true always means the
 // key is held. LockBatchContext is all-or-nothing — a deadline mid-batch

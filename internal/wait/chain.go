@@ -23,12 +23,12 @@ import (
 //
 // # The no-lost-wake contract
 //
-// Wait(st, cond) registers the caller, then re-checks cond, and only then
-// sleeps; Wake pops the oldest registered waiter and delivers a wake to
+// WaitDone(st, cond, done) registers the caller, then re-checks cond, and
+// only then sleeps; Wake pops the oldest registered waiter and delivers a wake to
 // its episode. A waker that changes the condition before calling Wake
 // therefore cannot be missed: either the waiter was registered in time to
 // be popped, or its post-registration cond re-check observes the change
-// and Wait cancels. A cancellation that loses the race with a concurrent
+// and WaitDone cancels. A cancellation that loses the race with a concurrent
 // pop absorbs the incoming wake and passes it on (Wake again), so a wake
 // handed to a canceling waiter is forwarded, never dropped.
 //
@@ -52,40 +52,29 @@ type chainNode struct {
 	queued bool // still linked in the waiter FIFO (guarded by Chain.mu)
 }
 
-// Wait registers the caller on the chain, re-checks cond, and if cond is
-// still false sleeps under st until a peer's Wake reaches it. A true cond
-// after registration cancels the wait (forwarding any wake that was
-// already aimed at it), so the caller can use the classic pattern
+// WaitDone registers the caller on the chain, re-checks cond, and if cond
+// is still false sleeps under st until a peer's Wake reaches it or done is
+// closed. It reports whether the wait ended by wake or condition (true —
+// the caller should re-try its acquisition) rather than by cancellation
+// (false); a nil done never cancels, so WaitDone(…, nil) always returns
+// true. A true cond after registration ends the wait (forwarding any wake
+// that was already aimed at it), so the caller can use the classic pattern
 //
 //	for !tryAcquire() {
-//		chain.Wait(st, resourceFree)
+//		chain.WaitDone(st, resourceFree, nil)
 //	}
 //
 // without ever losing a wake to the register/release race. Spurious
 // returns are allowed (a forwarded wake can briefly over-wake); callers
 // must re-check their condition in a loop, as the pattern above does.
-func (c *Chain) Wait(st Strategy, cond func() bool) {
-	n, w := c.register(st)
-
-	if cond() {
-		c.retire(st, n, w)
-		return
-	}
-
-	st.Sleep(w)
-	c.putFree(n)
-}
-
-// WaitDone is Wait with a cancellation channel. It reports whether the
-// wait ended by wake or condition (true — the caller should re-try its
-// acquisition) rather than by cancellation (false). The no-lost-wake
-// contract extends to the cancel path: a cancelled waiter that was already
-// popped by a concurrent Wake absorbs the incoming wake — sleeping the
-// bounded moment until it lands — and hands it to the next registered
-// waiter, so a wake aimed at a departing waiter is forwarded, never
-// dropped, and a cancellation that wins the race unlinks a node nobody has
-// aimed a wake at. Either way the waiter's generation is retired before
-// its node is recycled, settling the episode exactly once.
+//
+// The no-lost-wake contract extends to the cancel path: a cancelled waiter
+// that was already popped by a concurrent Wake absorbs the incoming wake —
+// sleeping the bounded moment until it lands — and hands it to the next
+// registered waiter, so a wake aimed at a departing waiter is forwarded,
+// never dropped, and a cancellation that wins the race unlinks a node
+// nobody has aimed a wake at. Either way the waiter's generation is
+// retired before its node is recycled, settling the episode exactly once.
 func (c *Chain) WaitDone(st Strategy, cond func() bool, done <-chan struct{}) bool {
 	n, w := c.register(st)
 
@@ -94,7 +83,7 @@ func (c *Chain) WaitDone(st Strategy, cond func() bool, done <-chan struct{}) bo
 		return true
 	}
 
-	if SleepDone(st, w, done) {
+	if st.SleepDone(w, done) {
 		c.putFree(n)
 		return true
 	}
@@ -140,7 +129,7 @@ func (c *Chain) retire(st Strategy, n *chainNode, w *Waiter) {
 		return
 	}
 	c.mu.Unlock()
-	st.Sleep(w)
+	st.SleepDone(w, nil)
 	c.Wake()
 	c.putFree(n)
 }

@@ -51,9 +51,9 @@
 // (lazily, by the parking strategy's first Attach on the slot) and reused
 // by every later episode. A wake token sent to an episode that was
 // abandoned after its waker committed the state transition can therefore
-// surface in a later episode as a stale token; Park guards against that by
-// re-checking the packed word after every channel receive and re-parking
-// on tokens that do not correspond to a delivered wake.
+// surface in a later episode as a stale token; ParkDone guards against
+// that by re-checking the packed word after every channel receive and
+// re-parking on tokens that do not correspond to a delivered wake.
 //
 // # Strategies
 //
@@ -64,6 +64,14 @@
 // or yielding to the Go scheduler on every probe (the conservative
 // default). All three deliver wakes through the same packed-word state
 // machine, so the crash-safety argument is strategy-independent.
+//
+// # Cancellation
+//
+// Every wait has one body, and it takes a cancellation channel:
+// Strategy.SleepDone, Waiter.ParkDone, Cell.AwaitDone, Chain.WaitDone. A
+// nil channel never fires (a receive from it in a select is never ready),
+// so a nil done is exactly the uncancellable wait; the only plain form
+// left is Strategy.Sleep, which is SleepDone with nil.
 package wait
 
 import (
@@ -179,8 +187,14 @@ func (w *Waiter) wake(gen uint32) bool {
 	}
 }
 
-// ParkDone is Park with a cancellation channel: it blocks until a wake is
-// delivered or done is closed, and reports whether the episode was woken.
+// ParkDone blocks until a wake is delivered to the current episode or done
+// is closed, sleeping on the Waiter's channel, and reports whether the
+// episode was woken; a nil done never fires, so ParkDone(nil) returns only
+// once woken. A channel token is only a hint: tokens leaked by wakers of
+// dead episodes wake ParkDone spuriously, so it re-checks the packed word
+// after every receive and re-parks until the wake is real. On a Waiter
+// whose strategy never created the channel it degrades to yielding.
+//
 // A false return leaves the packed word as it stands (possibly Parked); the
 // caller retires the episode (Cell.AwaitDone does) so a racing wake dies on
 // its generation CAS instead of leaking into a later episode.
@@ -217,35 +231,6 @@ func (w *Waiter) ParkDone(done <-chan struct{}) bool {
 	}
 }
 
-// Park blocks until a wake is delivered to the current episode, sleeping on
-// the Waiter's channel. A channel token is only a hint: tokens leaked by
-// wakers of dead episodes wake Park spuriously, so it re-checks the packed
-// word after every receive and re-parks until the wake is real. On a Waiter
-// whose strategy never created the channel it degrades to yielding.
-func (w *Waiter) Park() {
-	if w.ch == nil {
-		for !w.Woken() {
-			runtime.Gosched()
-		}
-		return
-	}
-	for {
-		cur := w.word.Load()
-		switch cur & stateMask {
-		case stateSet:
-			return
-		case stateEmpty:
-			if !w.word.CompareAndSwap(cur, cur&^stateMask|stateParked) {
-				continue
-			}
-			if st := w.stats.Load(); st != nil {
-				st.Parks.Add(1)
-			}
-		}
-		<-w.ch
-	}
-}
-
 // Cell is a publication slot: the shared word through which peers find the
 // current wait episode (the Signal object's GoAddr, the tournament lock's
 // GoAddr[p][l]). It owns the one reusable Waiter every episode on this slot
@@ -258,7 +243,7 @@ type Cell struct {
 // the replacement for allocating and publishing a fresh spin word. Any
 // pending wakes aimed at earlier episodes are thereby lost — deliberately.
 // The caller must re-check its wait condition after Begin and before
-// sleeping (Await does this for the single-shot case).
+// sleeping (AwaitDone does this for the single-shot case).
 func (c *Cell) Begin(st Strategy) *Waiter {
 	st.Attach(&c.w)
 	c.w.begin()
@@ -283,28 +268,21 @@ func (c *Cell) Reset() {
 	c.w.begin()
 }
 
-// Await opens an episode, re-checks cond, and sleeps until a wake arrives —
-// the single-shot wait of the Signal object (Figure 2 lines 5–9). cond must
-// become true before (in happens-before order) the corresponding Cell.Wake,
-// which is exactly the set-bit-then-wake discipline of signal setters;
-// Await re-checks it after stamping the generation so a wake that raced
-// ahead of the stamp is never missed.
-func (c *Cell) Await(st Strategy, cond func() bool) {
-	w := c.Begin(st)
-	if cond() {
-		return
-	}
-	st.Sleep(w)
-}
-
-// AwaitDone is Await with a cancellation channel: it sleeps until a wake
-// arrives or done is closed, and returns cond()'s final value — true when
-// the wait ended woken (or the condition was already true), false only when
-// the wait was cancelled with the condition still false. Checking cond once
-// more after a cancelled sleep is what makes a cancel-vs-wake race settle
-// deterministically: a waker that set the condition and delivered its wake
-// concurrently with the cancellation is observed here, and the caller
-// proceeds as woken.
+// AwaitDone opens an episode, re-checks cond, and sleeps until a wake
+// arrives or done is closed — the single-shot wait of the Signal object
+// (Figure 2 lines 5–9). cond must become true before (in happens-before
+// order) the corresponding Cell.Wake, which is exactly the
+// set-bit-then-wake discipline of signal setters; AwaitDone re-checks it
+// after stamping the generation so a wake that raced ahead of the stamp is
+// never missed.
+//
+// It returns cond()'s final value: true when the wait ended woken (or the
+// condition was already true), false only when the wait was cancelled with
+// the condition still false. A nil done never cancels, so AwaitDone(…, nil)
+// always returns true. Checking cond once more after a cancelled sleep is
+// what makes a cancel-vs-wake race settle deterministically: a waker that
+// set the condition and delivered its wake concurrently with the
+// cancellation is observed here, and the caller proceeds as woken.
 //
 // On cancellation the episode is retired (generation bumped) before the
 // final cond check, so a racing wake aimed at it dies on its CAS — exactly
@@ -318,7 +296,7 @@ func (c *Cell) AwaitDone(st Strategy, cond func() bool, done <-chan struct{}) bo
 	if cond() {
 		return true
 	}
-	if SleepDone(st, w, done) {
+	if st.SleepDone(w, done) {
 		return true
 	}
 	c.w.begin() // retire the cancelled episode: racing wakes die on their CAS
@@ -348,9 +326,8 @@ func (s *Stats) Reset() {
 }
 
 // Strategy is how a waiting process passes the time between opening its
-// episode and receiving a wake. Implementations must return from Sleep once
-// the Waiter is woken. A given Cell is meant to be driven by one strategy
-// for its whole life (the lock stack fixes it at construction).
+// episode and receiving a wake. A given Cell is meant to be driven by one
+// strategy for its whole life (the lock stack fixes it at construction).
 type Strategy interface {
 	// Attach readies the Cell's reusable Waiter for one episode; it runs
 	// before the generation stamp makes the episode live. The parking
@@ -358,47 +335,17 @@ type Strategy interface {
 	// wrapper binds its counters here. It must not allocate on the
 	// steady-state path.
 	Attach(w *Waiter)
-	// Sleep blocks until w has been woken (Woken reports true).
+	// Sleep blocks until w has been woken (Woken reports true); it is
+	// SleepDone with a nil done.
 	Sleep(w *Waiter)
-	// String names the strategy in benchmark output.
-	String() string
-}
-
-// DoneSleeper is the optional cancellable face of a Strategy: a strategy
-// that implements it can interrupt a Sleep when a cancellation channel
-// closes. All strategies in this package implement it natively; SleepDone
-// falls back to a yield-poll loop for foreign strategies that do not.
-type DoneSleeper interface {
 	// SleepDone blocks until w is woken or done is closed, and reports
 	// whether the episode was woken (a wake that raced the cancellation
 	// counts as woken). It must not return false while a wake is already
-	// delivered.
+	// delivered; a nil done never fires, so SleepDone(w, nil) returns
+	// true, once woken.
 	SleepDone(w *Waiter, done <-chan struct{}) bool
-}
-
-// SleepDone sleeps under st until a wake or a cancellation, reporting
-// whether the episode was woken. Strategies that implement DoneSleeper are
-// interrupted natively (a parked sleeper selects on done); others degrade
-// to probing the Waiter and the channel in a yield loop.
-func SleepDone(st Strategy, w *Waiter, done <-chan struct{}) bool {
-	if ds, ok := st.(DoneSleeper); ok {
-		return ds.SleepDone(w, done)
-	}
-	if w.Woken() {
-		return true
-	}
-	if s := w.stats.Load(); s != nil {
-		s.Sleeps.Add(1)
-	}
-	for !w.Woken() {
-		select {
-		case <-done:
-			return w.Woken()
-		default:
-		}
-		runtime.Gosched()
-	}
-	return true
+	// String names the strategy in benchmark output.
+	String() string
 }
 
 // spin parameters: pause lengths double from minPause to maxPause; after
@@ -436,17 +383,7 @@ func Yield() Strategy { return yieldStrategy{} }
 
 func (yieldStrategy) Attach(*Waiter) {}
 
-func (yieldStrategy) Sleep(w *Waiter) {
-	if w.Woken() {
-		return
-	}
-	if st := w.stats.Load(); st != nil {
-		st.Sleeps.Add(1)
-	}
-	for !w.Woken() {
-		runtime.Gosched()
-	}
-}
+func (s yieldStrategy) Sleep(w *Waiter) { s.SleepDone(w, nil) }
 
 func (yieldStrategy) SleepDone(w *Waiter, done <-chan struct{}) bool {
 	if w.Woken() {
@@ -478,28 +415,7 @@ func Spin() Strategy { return spinStrategy{} }
 
 func (spinStrategy) Attach(*Waiter) {}
 
-func (spinStrategy) Sleep(w *Waiter) {
-	if w.Woken() {
-		return
-	}
-	st := w.stats.Load()
-	if st != nil {
-		st.Sleeps.Add(1)
-	}
-	pause := minPause
-	for round := 0; !w.Woken(); round++ {
-		procyield(pause)
-		if pause < maxPause {
-			pause <<= 1
-		}
-		if round >= spinYieldAfter {
-			runtime.Gosched()
-		}
-		if st != nil {
-			st.SpinRounds.Add(1)
-		}
-	}
-}
+func (s spinStrategy) Sleep(w *Waiter) { s.SleepDone(w, nil) }
 
 func (spinStrategy) SleepDone(w *Waiter, done <-chan struct{}) bool {
 	if w.Woken() {
@@ -556,29 +472,7 @@ func (s spinParkStrategy) Attach(w *Waiter) {
 	}
 }
 
-func (s spinParkStrategy) Sleep(w *Waiter) {
-	if w.Woken() {
-		return
-	}
-	st := w.stats.Load()
-	if st != nil {
-		st.Sleeps.Add(1)
-	}
-	pause := minPause
-	for round := 0; round < s.rounds; round++ {
-		if w.Woken() {
-			return
-		}
-		procyield(pause)
-		if pause < maxPause {
-			pause <<= 1
-		}
-		if st != nil {
-			st.SpinRounds.Add(1)
-		}
-	}
-	w.Park()
-}
+func (s spinParkStrategy) Sleep(w *Waiter) { s.SleepDone(w, nil) }
 
 func (s spinParkStrategy) SleepDone(w *Waiter, done <-chan struct{}) bool {
 	if w.Woken() {
@@ -628,10 +522,10 @@ func (s instrumented) Attach(w *Waiter) {
 	s.stats.Publishes.Add(1)
 }
 
-func (s instrumented) Sleep(w *Waiter) { s.inner.Sleep(w) }
+func (s instrumented) Sleep(w *Waiter) { s.SleepDone(w, nil) }
 
 func (s instrumented) SleepDone(w *Waiter, done <-chan struct{}) bool {
-	return SleepDone(s.inner, w, done)
+	return s.inner.SleepDone(w, done)
 }
 
 func (s instrumented) String() string { return s.inner.String() }

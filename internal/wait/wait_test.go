@@ -331,8 +331,8 @@ func TestDoubleWakeCollapses(t *testing.T) {
 // TestStaleParkTokenIsAbsorbed forces the one token-leak window reuse
 // opens: a waker commits its parked→set CAS, the episode dies before the
 // token is consumed, and a later episode of the same slot parks. The stale
-// token must wake that park only spuriously — Park re-checks and re-parks —
-// and the real wake must still get through.
+// token must wake that park only spuriously — ParkDone re-checks and
+// re-parks — and the real wake must still get through.
 func TestStaleParkTokenIsAbsorbed(t *testing.T) {
 	st := SpinThenPark(1)
 	var c Cell
@@ -373,12 +373,12 @@ func TestAwait(t *testing.T) {
 			var c Cell
 			var bit atomic.Bool
 			bit.Store(true)
-			c.Await(st, bit.Load) // returns without sleeping
+			c.AwaitDone(st, bit.Load, nil) // returns without sleeping
 
 			bit.Store(false)
 			done := make(chan struct{})
 			go func() {
-				c.Await(st, bit.Load)
+				c.AwaitDone(st, bit.Load, nil)
 				close(done)
 			}()
 			time.Sleep(5 * time.Millisecond)
@@ -387,13 +387,13 @@ func TestAwait(t *testing.T) {
 			select {
 			case <-done:
 			case <-time.After(2 * time.Second):
-				t.Fatal("Await never released")
+				t.Fatal("AwaitDone never released")
 			}
 		})
 	}
 }
 
-// TestInstrumented checks the RMR-proxy counters: one publish per Await,
+// TestInstrumented checks the RMR-proxy counters: one publish per AwaitDone,
 // one wake per delivery, sleeps only when blocking happened.
 func TestInstrumented(t *testing.T) {
 	var stats Stats
@@ -402,7 +402,7 @@ func TestInstrumented(t *testing.T) {
 	var bit atomic.Bool
 	done := make(chan struct{})
 	go func() {
-		c.Await(st, bit.Load)
+		c.AwaitDone(st, bit.Load, nil)
 		close(done)
 	}()
 	for stats.Publishes.Load() == 0 {

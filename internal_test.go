@@ -24,7 +24,7 @@ func TestSignalSetThenWait(t *testing.T) {
 			s.set()
 			done := make(chan struct{})
 			go func() {
-				s.wait(st)
+				s.waitDone(st, nil)
 				close(done)
 			}()
 			select {
@@ -42,7 +42,7 @@ func TestSignalWaitThenSet(t *testing.T) {
 			var s signal
 			done := make(chan struct{})
 			go func() {
-				s.wait(st)
+				s.waitDone(st, nil)
 				close(done)
 			}()
 			select {
@@ -77,7 +77,7 @@ func TestSignalReExecutedWaitAfterAbandonment(t *testing.T) {
 			<-abandoned
 			done := make(chan struct{})
 			go func() {
-				s.wait(st) // the recovered process re-executes wait()
+				s.waitDone(st, nil) // the recovered process re-executes wait()
 				close(done)
 			}()
 			time.Sleep(10 * time.Millisecond)
@@ -97,7 +97,7 @@ func TestSignalForceSet(t *testing.T) {
 	if !s.isSet() {
 		t.Fatal("forceSet did not set")
 	}
-	s.wait(wait.Yield()) // must return immediately (same goroutine: would hang otherwise)
+	s.waitDone(wait.Yield(), nil) // must return immediately (same goroutine: would hang otherwise)
 }
 
 func TestRLockMutualExclusion(t *testing.T) {
@@ -361,5 +361,61 @@ func TestTreePathTable(t *testing.T) {
 				div *= tm.arity
 			}
 		}
+	}
+}
+
+// TestDispatchRunQueueWaitsForMidRelease pins the run queue's false
+// "overflow": a dequeuer that has advanced head but not yet stored its
+// slot's release sequence leaves the slot reading as taken, and an enqueue
+// that wraps onto it must wait for that store instead of calling the ring
+// full. The dequeue is done by hand here, stopped between its two steps.
+func TestDispatchRunQueueWaitsForMidRelease(t *testing.T) {
+	var q runQueue
+	q.init(4)
+	sh := make([]lockShard, 5)
+	q.enqueue(&sh[0])
+	q.enqueue(&sh[1])
+
+	pos := q.head.Load()
+	slot := &q.slots[pos&q.mask]
+	if slot.seq.Load() != pos+1 || !q.head.CompareAndSwap(pos, pos+1) {
+		t.Fatal("could not claim the head slot")
+	}
+	if slot.sh != &sh[0] {
+		t.Fatal("head slot does not hold the first stripe")
+	}
+
+	// Three of four slots are occupied; the fifth enqueue wraps onto the
+	// slot whose release is still pending.
+	q.enqueue(&sh[2])
+	q.enqueue(&sh[3])
+	res := make(chan any, 1)
+	go func() {
+		defer func() { res <- recover() }()
+		q.enqueue(&sh[4])
+	}()
+	select {
+	case r := <-res:
+		t.Fatalf("enqueue onto a slot mid-release returned before the release (panic: %v)", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	slot.sh = nil
+	slot.seq.Store(pos + q.mask + 1) // the dequeuer's release store lands
+	select {
+	case r := <-res:
+		if r != nil {
+			t.Fatalf("enqueue panicked: %v", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("enqueue did not complete after the release landed")
+	}
+	for i := 1; i <= 4; i++ {
+		if got := q.dequeue(); got != &sh[i] {
+			t.Fatalf("dequeue %d: got stripe %p, want %p", i, got, &sh[i])
+		}
+	}
+	if got := q.dequeue(); got != nil {
+		t.Fatalf("queue not empty after four dequeues: %p", got)
 	}
 }

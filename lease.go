@@ -233,27 +233,24 @@ func (p *PortLeaser) TryAcquire() (l PortLease, ok bool) {
 }
 
 // Acquire claims a free port, waiting for one to be released (or
-// reclaimed) if all are currently leased. Blocked acquirers park on the
-// wait engine's multi-waiter chain under the leaser's wait strategy —
-// every Release (and every port a reclaim sweep frees) hands out exactly
-// one wake — so a queue of acquirers costs wakes, not burned scheduler
-// quanta. The wait allocates nothing once the chain's node free list is
-// warm. Liveness depends on orphans being reclaimed: if every port is
+// reclaimed) if all are currently leased. It is AcquireDone with a nil
+// done. Liveness depends on orphans being reclaimed: if every port is
 // orphaned and nobody sweeps, Acquire parks forever — run ReclaimOrphans
 // from the same supervisor that observes worker deaths.
 func (p *PortLeaser) Acquire() PortLease {
-	for {
-		if l, ok := p.TryAcquire(); ok {
-			return l
-		}
-		p.chain.Wait(p.strat, p.freeCond)
-	}
+	l, _ := p.AcquireDone(nil)
+	return l
 }
 
-// AcquireDone is Acquire with a cancellation channel: it returns ok=false
-// if done closes while every port is leased. The cancel path inherits the
-// wait engine's no-lost-wake contract — a cancelled waiter that was already
-// handed a Release's wake forwards it to the next parked acquirer (see
+// AcquireDone claims a free port like Acquire, but returns ok=false if done
+// closes while every port is leased; a nil done never closes. Blocked
+// acquirers park on the wait engine's multi-waiter chain under the
+// leaser's wait strategy — every Release (and every port a reclaim sweep
+// frees) hands out exactly one wake — so a queue of acquirers costs wakes,
+// not burned scheduler quanta. The wait allocates nothing once the chain's
+// node free list is warm. The cancel path inherits the wait engine's
+// no-lost-wake contract — a cancelled waiter that was already handed a
+// Release's wake forwards it to the next parked acquirer (see
 // wait.Chain.WaitDone) — so abandoning an acquisition can never strand a
 // free port behind a dropped wake. A cancellation returns immediately
 // without a final scan: done closing is a deadline, and the caller asked

@@ -114,7 +114,7 @@ type LockTable struct {
 
 // portLock is the contract a shard's lock backend satisfies: a k-ported
 // recoverable lock whose identities are dense ints 0..Ports()-1, with
-// wait-free critical-section re-entry after a crash (Lock on the dead
+// wait-free critical-section re-entry after a crash (LockDone on the dead
 // identity's port recovers its passage), a Held probe for
 // died-in-critical-section detection, and the labeled crash-injection
 // hook. Mutex (ports), TreeMutex (process indices), and MCSMutex (queue
@@ -122,19 +122,19 @@ type LockTable struct {
 // reclaim sweeps, the async and batch pipelines — is written against this
 // surface only, so the shapes are interchangeable per arena.
 type portLock interface {
-	Lock(port int)
+	// LockDone is the one acquire: the backend's passage, which gives up
+	// when done closes (a nil done never does, and recovery passages run
+	// with nil), returning false with the port left exactly as if its
+	// worker had crashed at the abandoned step — so the one recovery story
+	// (a LockDone(port, nil)/Unlock pair on the port) also settles aborts.
+	// Each backend implements the fix-up it already owns: flat runs its
+	// queue repair, tree re-climbs and unwinds under the phase cursor, MCS
+	// repairs the O(1) neighborhood of the abandoned node.
+	LockDone(port int, done <-chan struct{}) bool
 	Unlock(port int)
 	Held(port int) bool
 	Ports() int
 	SetCrashFunc(fn CrashFunc)
-	// LockDone is the abortable acquire: Lock that gives up when done
-	// closes, returning false with the port left exactly as if its worker
-	// had crashed at the abandoned step — so the one recovery story (a
-	// Lock/Unlock pair on the port) also settles aborts. Each backend
-	// implements the fix-up it already owns: flat runs its queue repair,
-	// tree re-climbs and unwinds under the phase cursor, MCS repairs the
-	// O(1) neighborhood of the abandoned node.
-	LockDone(port int, done <-chan struct{}) bool
 	// freeHint reports whether an arrival at port would currently acquire
 	// without queuing — the racy fast-reject probe TryLock uses to keep
 	// ordinary misses free of protocol state.
@@ -609,35 +609,40 @@ func hashString(s string) uint64 {
 // the acquisitions are ordered by ShardIndex with at most one key per
 // stripe — a second key of an already-held stripe deadlocks the caller
 // against itself (see the striping notes on LockTable).
-func (t *LockTable) Lock(key uint64) {
-	sh := t.shardOf(key)
-	l := t.acquireLease(sh)
+func (t *LockTable) Lock(key uint64) { t.lockKeyDone(t.shardOf(key), key, nil) }
+
+// lockKeyDone is the table's one keyed passage — the sync, context and
+// async entry points all run it: a gated lease, the key's registration,
+// and the port's passage under the orphan-on-crash guard. It reports
+// false, holding nothing, only if done closed first (a nil done never
+// does); a port passage abandoned mid-wait is handed to the abort fix-up.
+func (t *LockTable) lockKeyDone(sh *lockShard, key uint64, done <-chan struct{}) (PortLease, bool) {
+	l, ok := t.acquireLeaseDone(sh, done)
+	if !ok {
+		return PortLease{}, false
+	}
 	sh.key[l.Port].Store(key)
-	sh.lockPort(l)
+	if !sh.lockPortDone(l, done) {
+		sh.abortTenancy(t, l)
+		return PortLease{}, false
+	}
+	return l, true
 }
 
-// acquireLease is the table's gated lease acquisition: every tenancy
+// acquireLeaseDone is the table's gated lease acquisition: every tenancy
 // start — sync, async dispatcher, batch walk — comes through here rather
-// than PortLeaser.Acquire, because two table-level concerns wrap the
+// than PortLeaser.AcquireDone, because two table-level concerns wrap the
 // pool's own wait. First the migration gate: while the stripe's barrier
 // is closed, entrants park on the gate chain instead of taking leases, so
 // the stripe drains and the backend can be swapped (see migrateShard).
 // Second the work-stealing fallback: a stripe that exhausts its active
 // ports under skew grows itself out of the table's slack quota instead of
-// parking, when the adaptive-pool policy is on.
-func (t *LockTable) acquireLease(sh *lockShard) PortLease {
-	l, _ := t.acquireLeaseDone(sh, nil)
-	return l
-}
-
-// acquireLeaseDone is acquireLease with a cancellation channel (nil =
-// wait forever); ok is false only if done closed first.
+// parking, when the adaptive-pool policy is on. ok is false only if done
+// closed first; a nil done never does.
 func (t *LockTable) acquireLeaseDone(sh *lockShard, done <-chan struct{}) (PortLease, bool) {
 	for {
 		if sh.gateClosed.Load() {
-			if done == nil {
-				sh.gate.Wait(sh.strat, sh.gateOpen)
-			} else if !sh.gate.WaitDone(sh.strat, sh.gateOpen, done) {
+			if !sh.gate.WaitDone(sh.strat, sh.gateOpen, done) {
 				return PortLease{}, false
 			}
 			continue
@@ -660,9 +665,7 @@ func (t *LockTable) acquireLeaseDone(sh *lockShard, done <-chan struct{}) (PortL
 		if t.steal(sh) {
 			continue
 		}
-		if done == nil {
-			sh.pool.chain.Wait(sh.strat, sh.leaseCond)
-		} else if !sh.pool.chain.WaitDone(sh.strat, sh.leaseCond, done) {
+		if !sh.pool.chain.WaitDone(sh.strat, sh.leaseCond, done) {
 			return PortLease{}, false
 		}
 	}
@@ -699,15 +702,6 @@ func (t *LockTable) steal(sh *lockShard) bool {
 
 // LockString is Lock for a string key.
 func (t *LockTable) LockString(key string) { t.Lock(hashString(key)) }
-
-// lockPort runs the port's recoverable Lock under the orphan-on-crash
-// guard (named methods so the defers are open-coded: the crash-free keyed
-// passage must not allocate).
-func (sh *lockShard) lockPort(l PortLease) {
-	defer sh.pool.orphanGuard(l)
-	sh.m().Lock(l.Port)
-	sh.acquires.Add(1)
-}
 
 func (sh *lockShard) unlockPort(l PortLease) {
 	defer sh.pool.orphanGuard(l)
@@ -779,26 +773,16 @@ func (t *LockTable) TryLockString(key string) bool { return t.TryLock(hashString
 // the stripe's queue is fixed up in the background and the port returns to
 // the lease pool without any Reclaim call. Sheds are counted per stripe in
 // ShardStats.Aborts/Timeouts. Contexts that cannot be cancelled (no
-// deadline, no cancel) take the plain Lock path unchanged; abort-free
-// passages allocate nothing once the shard's pools are warm.
+// deadline, no cancel) have a nil Done channel and so run exactly Lock's
+// passage; abort-free passages allocate nothing once the shard's pools
+// are warm.
 func (t *LockTable) LockContext(ctx context.Context, key uint64) error {
 	sh := t.shardOf(key)
 	if err := ctx.Err(); err != nil {
 		sh.noteShed(err)
 		return err
 	}
-	done := ctx.Done()
-	if done == nil {
-		t.Lock(key)
-		return nil
-	}
-	l, ok := t.acquireLeaseDone(sh, done)
-	if !ok {
-		return sh.shed(ctx)
-	}
-	sh.key[l.Port].Store(key)
-	if !sh.lockPortDone(l, done) {
-		sh.abortTenancy(t, l)
+	if _, ok := t.lockKeyDone(sh, key, ctx.Done()); !ok {
 		return sh.shed(ctx)
 	}
 	return nil
@@ -809,8 +793,10 @@ func (t *LockTable) LockContextString(ctx context.Context, key string) error {
 	return t.LockContext(ctx, hashString(key))
 }
 
-// lockPortDone runs the port's abortable Lock under the orphan-on-crash
-// guard, bumping the stripe's acquire counter only when the lock was won.
+// lockPortDone runs the port's passage under the orphan-on-crash guard,
+// bumping the stripe's acquire counter only when the lock was won (named
+// methods so the defers are open-coded: the crash-free keyed passage must
+// not allocate).
 func (sh *lockShard) lockPortDone(l PortLease, done <-chan struct{}) bool {
 	defer sh.pool.orphanGuard(l)
 	if !sh.m().LockDone(l.Port, done) {
@@ -871,7 +857,7 @@ func (sh *lockShard) abortTenancy(t *LockTable, l PortLease) {
 // sweep runs on an orphan, applied to the aborting caller's own port.
 func (sh *lockShard) reclaimAborted(l PortLease) {
 	for {
-		if crashes(func() { sh.m().Lock(l.Port) }) {
+		if crashes(func() { sh.m().LockDone(l.Port, nil) }) {
 			continue
 		}
 		if !crashes(func() { sh.m().Unlock(l.Port) }) {
@@ -1062,7 +1048,7 @@ func (t *LockTable) ReclaimWith(fn func(key uint64, inCS bool)) int {
 			// re-entry, queue repair, exit completion), Unlock releases;
 			// a crash during Unlock is in turn recovered by the next Lock.
 			for {
-				if crashes(func() { sh.m().Lock(port) }) {
+				if crashes(func() { sh.m().LockDone(port, nil) }) {
 					continue
 				}
 				if !crashes(func() { sh.m().Unlock(port) }) {

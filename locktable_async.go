@@ -461,9 +461,7 @@ func (t *LockTable) deliver(sh *lockShard, r *asyncReq) {
 			// migration never takes, so parking here cannot deadlock the
 			// barrier — though it does occupy a pool slot for the drain's
 			// duration; see the liveness note in the file comment).
-			l = t.acquireLease(sh)
-			sh.key[l.Port].Store(r.key)
-			sh.lockPort(l)
+			l, _ = t.lockKeyDone(sh, r.key, nil)
 		})
 		if !crashed {
 			break

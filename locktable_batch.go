@@ -114,14 +114,10 @@ func (t *LockTable) LockBatchContext(ctx context.Context, keys []uint64) (*Batch
 		t.shardOf(keys[0]).noteShed(err)
 		return nil, err
 	}
-	done := ctx.Done()
-	if done == nil {
-		return t.LockBatch(keys), nil
-	}
 	b := t.getBatch()
 	b.keys = append(b.keys[:0], keys...)
 	b.prepare()
-	shedSh := b.lockAllDone(done)
+	shedSh := b.lockAllDone(ctx.Done())
 	if shedSh == nil {
 		return b, nil
 	}
@@ -147,7 +143,7 @@ func (t *LockTable) checkBatch(n int) {
 // b.keys: stripe mapping, (stripe, key) sort, and the guarded walk.
 func (t *LockTable) lockPrepared(b *Batch) *Batch {
 	b.prepare()
-	b.lockAll()
+	b.lockAllDone(nil)
 	return b
 }
 
@@ -165,38 +161,13 @@ func (b *Batch) prepare() {
 	b.released = 0
 }
 
-// lockAll acquires one tenancy per stripe run, under a guard that orphans
-// every held stripe if the worker dies mid-batch.
-func (b *Batch) lockAll() {
-	defer b.orphanHeldOnCrash()
-	i := 0
-	for i < len(b.keys) {
-		j := i + 1
-		for j < len(b.keys) && b.shard[j] == b.shard[i] {
-			j++
-		}
-		sh := &b.t.shards[b.shard[i]]
-		l := b.t.acquireLease(sh)
-		// Register the run's first key as the tenancy's key: Held and
-		// ReclaimWith report a stripe-representative key for batch
-		// tenancies, the same way a striped Lock reports the key it was
-		// called with rather than every key it excludes.
-		sh.key[l.Port].Store(b.keys[i])
-		// Record before locking: a crash inside Lock must find this
-		// stripe in the held set.
-		b.stripes = append(b.stripes, batchStripe{sh: sh, l: l})
-		sh.m().Lock(l.Port)
-		sh.acquires.Add(1)
-		i = j
-	}
-}
-
-// lockAllDone is lockAll with a cancellation channel. It returns nil once
-// every stripe run is held, or the stripe on which the walk gave up (for
-// the caller's shed accounting) with that stripe's tenancy already handed
-// to the abort fix-up and removed from the held set; the caller owns
-// releasing the stripes acquired before it. The crash guard covers the
-// walk the same as lockAll's.
+// lockAllDone acquires one tenancy per stripe run, under a guard that
+// orphans every held stripe if the worker dies mid-batch. It returns nil
+// once every stripe run is held — always, for a nil done — or the stripe
+// on which the walk gave up when done closed (for the caller's shed
+// accounting) with that stripe's tenancy already handed to the abort
+// fix-up and removed from the held set; the caller owns releasing the
+// stripes acquired before it.
 func (b *Batch) lockAllDone(done <-chan struct{}) *lockShard {
 	defer b.orphanHeldOnCrash()
 	i := 0
@@ -210,7 +181,13 @@ func (b *Batch) lockAllDone(done <-chan struct{}) *lockShard {
 		if !ok {
 			return sh
 		}
+		// Register the run's first key as the tenancy's key: Held and
+		// ReclaimWith report a stripe-representative key for batch
+		// tenancies, the same way a striped Lock reports the key it was
+		// called with rather than every key it excludes.
 		sh.key[l.Port].Store(b.keys[i])
+		// Record before locking: a crash inside the passage must find
+		// this stripe in the held set.
 		b.stripes = append(b.stripes, batchStripe{sh: sh, l: l})
 		if !sh.m().LockDone(l.Port, done) {
 			// The aborted stripe repairs itself; drop it from the held set
@@ -226,7 +203,7 @@ func (b *Batch) lockAllDone(done <-chan struct{}) *lockShard {
 	return nil
 }
 
-// orphanHeldOnCrash is lockAll's deferred crash guard: a Crash panic
+// orphanHeldOnCrash is lockAllDone's deferred crash guard: a Crash panic
 // orphans exactly the stripes acquired so far (the batch-wide analogue of
 // the per-passage OrphanOnCrash guard), recycles the batch — the caller
 // will never see it — and lets the panic continue to the supervisor.

@@ -414,7 +414,7 @@ func (s *supervisor) heal(sh *lockShard, l PortLease) {
 	defer s.wg.Done()
 	m := sh.m()
 	for {
-		if crashes(func() { m.Lock(l.Port) }) {
+		if crashes(func() { m.LockDone(l.Port, nil) }) {
 			continue
 		}
 		if !crashes(func() { m.Unlock(l.Port) }) {

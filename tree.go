@@ -223,43 +223,31 @@ func (t *TreeMutex) Held(proc int) bool {
 }
 
 // Lock acquires the outer critical section for proc, performing whatever
-// crash recovery the stable phase word dictates.
-func (t *TreeMutex) Lock(proc int) {
-	t.checkProc(proc)
-	switch word := t.phase[proc].Load(); word & tphMask {
-	case tphCS:
-		return // crashed in the CS: every level is still held
-	case tphDown:
-		// Crashed mid-release: replay from the cursor, then climb afresh.
-		t.replayRelease(proc, decodeTreeDown(word))
-	}
-	t.phase[proc].Store(tphUp)
-	for _, s := range t.path[proc] {
-		s.m.Lock(s.port)
-	}
-	t.phase[proc].Store(tphCS)
-}
+// crash recovery the stable phase word dictates. It is LockDone with a nil
+// done.
+func (t *TreeMutex) Lock(proc int) { t.LockDone(proc, nil) }
 
-// LockDone is Lock with a cancellation channel: it returns true once proc
-// holds the outer critical section, or false if done closed mid-climb. An
-// abandoned climb leaves the phase word at tphUp with every level below the
-// cancelled one still held and the cancelled level's node in its
-// crashed-at-the-wait state — exactly the state a crash at that point
-// leaves, so the standard recovery applies: a Lock on the same identity
-// re-climbs (held levels re-enter wait-free, the abandoned level's passage
-// resumes), and the following Unlock unwinds the precomputed path top-down
-// under the phase-cursor encoding. The LockTable's abort path runs that
-// Lock/Unlock pair from the departing caller. Recovery passages (a phase
-// word found mid-passage) are not cancellable and return true.
+// LockDone is the one passage body behind Lock: it returns true once proc
+// holds the outer critical section, or false if done closed mid-climb (a
+// nil done never closes). An abandoned climb leaves the phase word at
+// tphUp with every level below the cancelled one still held and the
+// cancelled level's node in its crashed-at-the-wait state — exactly the
+// state a crash at that point leaves, so the standard recovery applies: a
+// Lock on the same identity re-climbs (held levels re-enter wait-free, the
+// abandoned level's passage resumes), and the following Unlock unwinds the
+// precomputed path top-down under the phase-cursor encoding. The
+// LockTable's abort path runs that Lock/Unlock pair from the departing
+// caller. Recovery passages (a phase word found mid-climb) are not
+// cancellable and return true.
 func (t *TreeMutex) LockDone(proc int, done <-chan struct{}) bool {
 	t.checkProc(proc)
 	switch word := t.phase[proc].Load(); word & tphMask {
 	case tphCS:
 		return true // crashed in the CS: every level is still held
 	case tphUp:
-		t.Lock(proc) // interrupted climb: recovery, run to completion
-		return true
+		done = nil // interrupted climb: recovery, run to completion
 	case tphDown:
+		// Crashed mid-release: replay from the cursor, then climb afresh.
 		t.replayRelease(proc, decodeTreeDown(word))
 	}
 	t.phase[proc].Store(tphUp)
