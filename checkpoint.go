@@ -18,9 +18,9 @@ import (
 // machinery exercises — no surviving lessee can run its own fix-up, and
 // recovery must be driven entirely from the persistent image. What
 // persists is exactly the state the RME model places in NVRAM: the arena
-// shape (stripes, per-stripe lock shape, port counts and active bounds),
-// every port's epoch-stamped lease word, the key each live tenancy was
-// locking, and whether that tenancy held its stripe's critical section.
+// shape (stripes, lock shape, port count), every port's epoch-stamped
+// lease word, the key each live tenancy was locking, and whether that
+// tenancy held its stripe's critical section.
 // Volatile state dies with the process by design: parked waiters, async
 // inbox entries, and undelivered grants are all in the dead incarnation's
 // memory, so a queued-but-ungranted request is simply lost (its caller
@@ -31,8 +31,8 @@ import (
 // checkpointed one, so any lease value that somehow survived the crash
 // (a stale PortLease in application state, a fencing token handed to an
 // external system) fails its CAS loudly instead of aliasing a new
-// tenancy — the same epoch-fencing invariant Resize preserves, extended
-// across incarnations. Every non-free tenancy is restored as an orphan
+// tenancy — the lease words' epoch-fencing invariant, extended across
+// incarnations. Every non-free tenancy is restored as an orphan
 // and healed by the normal two-phase reclaim (claim all, then recover
 // concurrently): a tenancy that died holding its critical section is
 // re-adopted onto the fresh backend first, so the recovery Lock re-enters
@@ -43,18 +43,20 @@ import (
 // re-establishes CS ownership on flat, tree, and MCS shapes alike through
 // the same portLock surface the rest of the table uses.
 
-// ckptMagic opens every checkpoint; the trailing byte is the format
-// generation (bump together with ckptVersion on incompatible changes).
+// ckptMagic opens every checkpoint. It names the file type only; the
+// format generation is ckptVersion, so an image of an older generation
+// is rejected by its version word, with a message that says so.
 var ckptMagic = []byte("RMECKPT1")
 
 const (
-	ckptVersion = 1
+	// ckptVersion is the format generation. Version 1 also carried a
+	// per-stripe lock shape and active-port bound; version 2 dropped both
+	// (every stripe has the table's shape and full port count).
+	ckptVersion = 2
 
 	// ckptHeaderLen is magic + version(4) + seed(8) + shards(4) +
 	// ports(4) + table backend(1).
 	ckptHeaderLen = 8 + 4 + 8 + 4 + 4 + 1
-	// ckptStripeHeaderLen is per-stripe backend(1) + active bound(4).
-	ckptStripeHeaderLen = 1 + 4
 	// ckptPortLen is per-port lease word(8) + key(8) + flags(1).
 	ckptPortLen = 8 + 8 + 1
 
@@ -71,13 +73,13 @@ const (
 // ordinary errors instead: the bytes are fine, the request is not.
 var ErrCheckpointCorrupt = errors.New("rme: corrupt checkpoint")
 
-// Checkpoint serializes the table's persistent state — arena shape,
-// per-stripe lock shapes and active-port bounds, every port's
-// epoch-stamped lease word, tenancy key, and critical-section ownership —
-// into a self-describing, versioned, checksummed byte image for
-// RestoreTable. The volatile tiers (parked waiters, async inboxes, the
-// executor's run queue and workers, undelivered grants) are deliberately
-// absent: they model process memory, which a system-wide crash erases.
+// Checkpoint serializes the table's persistent state — arena shape and
+// lock shape, every port's epoch-stamped lease word, tenancy key, and
+// critical-section ownership — into a self-describing, versioned,
+// checksummed byte image for RestoreTable. The volatile tiers (parked
+// waiters, async inboxes, the executor's run queue and workers,
+// undelivered grants) are deliberately absent: they model process memory,
+// which a system-wide crash erases.
 //
 // The image is a crash-consistent snapshot, not a stop-the-world one:
 // each port's word is read atomically, but ports are read at slightly
@@ -101,7 +103,7 @@ var ErrCheckpointCorrupt = errors.New("rme: corrupt checkpoint")
 // submitters have stopped — the discipline the snapshot tests lean on.
 func (t *LockTable) Checkpoint() ([]byte, error) {
 	shards, ports := len(t.shards), t.ports
-	buf := make([]byte, 0, ckptHeaderLen+shards*(ckptStripeHeaderLen+ports*ckptPortLen)+4)
+	buf := make([]byte, 0, ckptHeaderLen+shards*ports*ckptPortLen+4)
 	buf = append(buf, ckptMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, t.seed)
@@ -110,13 +112,10 @@ func (t *LockTable) Checkpoint() ([]byte, error) {
 	buf = append(buf, byte(t.backend))
 	for i := range t.shards {
 		sh := &t.shards[i]
-		m := sh.m()
-		buf = append(buf, byte(sh.backend.Load()))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(sh.pool.Active()))
 		for p := 0; p < ports; p++ {
 			w := sh.pool.words[p].Load()
 			var flags byte
-			if w&leaseStateMask != leaseFree && m.Held(p) {
+			if w&leaseStateMask != leaseFree && sh.m.Held(p) {
 				flags |= ckptFlagInCS
 			}
 			buf = binary.LittleEndian.AppendUint64(buf, w)
@@ -130,11 +129,9 @@ func (t *LockTable) Checkpoint() ([]byte, error) {
 
 // ckptStripe is one decoded stripe image.
 type ckptStripe struct {
-	backend ShardBackend
-	active  int
-	words   []uint64
-	keys    []uint64
-	inCS    int // port index holding the CS, or -1
+	words []uint64
+	keys  []uint64
+	inCS  int // port index holding the CS, or -1
 }
 
 // corrupt builds a RestoreTable decode error; every path through it wraps
@@ -146,8 +143,7 @@ func corrupt(format string, args ...any) error {
 // RestoreTable builds a fresh LockTable from a Checkpoint image — the new
 // incarnation after a system-wide crash. The restored table reproduces the
 // checkpointed arena exactly (stripe count, port count, table seed, and
-// each stripe's lock shape, including shapes the supervisor had migrated
-// stripes to), with every fencing epoch strictly advanced and every
+// lock shape), with every fencing epoch strictly advanced and every
 // non-free tenancy of the dead incarnation surfaced as an orphan. A
 // tenancy that died inside its critical section is re-adopted onto the
 // fresh stripe lock, so the stripe stays exclusively held until reclaim
@@ -166,9 +162,10 @@ func corrupt(format string, args ...any) error {
 // Options mean what they mean on NewLockTable, with two restore-specific
 // rules: WithTableSeed and WithShardBackend, if given, must agree with the
 // image (the seed fixes the key-to-stripe map the checkpointed keys were
-// placed under, and the backend is an assertion, not a migration request —
-// both mismatches error). Corrupted or truncated bytes return an error
-// wrapping ErrCheckpointCorrupt, never panic.
+// placed under, and the backend is an assertion, not a request to rebuild
+// the stripes in another shape — both mismatches error). Corrupted or truncated bytes, and images of an
+// older format version, return an error wrapping ErrCheckpointCorrupt,
+// never panic.
 func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 	if len(data) < ckptHeaderLen+4 {
 		return nil, corrupt("image truncated (%d bytes)", len(data))
@@ -205,7 +202,7 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 	// The exact-length check both rejects truncated/padded images and
 	// bounds the allocations below: a forged shard count cannot make us
 	// allocate more than the image's own length justifies.
-	want := uint64(ckptHeaderLen) + uint64(shards)*(ckptStripeHeaderLen+uint64(ports)*ckptPortLen) + 4
+	want := uint64(ckptHeaderLen) + uint64(shards)*uint64(ports)*ckptPortLen + 4
 	if uint64(len(data)) != want {
 		return nil, corrupt("length %d does not match declared %d×%d arena (want %d)", len(data), shards, ports, want)
 	}
@@ -214,20 +211,9 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 	}
 
 	stripes := make([]ckptStripe, shards)
-	stripeBackends := make([]ShardBackend, shards)
 	orphans := 0
 	for i := range stripes {
 		st := &stripes[i]
-		st.backend = ShardBackend(body[off])
-		off++
-		if !validConcreteBackend(st.backend) {
-			return nil, corrupt("stripe %d: invalid backend %d", i, int(st.backend))
-		}
-		stripeBackends[i] = st.backend
-		st.active = int(u32())
-		if st.active < 1 || st.active > ports {
-			return nil, corrupt("stripe %d: active bound %d outside [1,%d]", i, st.active, ports)
-		}
 		st.words = make([]uint64, ports)
 		st.keys = make([]uint64, ports)
 		st.inCS = -1
@@ -265,22 +251,17 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 		return nil, fmt.Errorf("rme: RestoreTable: WithShardBackend(%v) contradicts the checkpointed backend %v (restore reproduces the image's shapes; omit the option to inherit them)", cfg.backend.resolve(ports), tableBackend)
 	}
 
-	t := newTableArena(shards, ports, seed, tableBackend, cfg, opts, stripeBackends)
-	slack := 0
+	t := newTableArena(shards, ports, seed, tableBackend, cfg, opts)
 	for i := range stripes {
 		st := &stripes[i]
 		sh := &t.shards[i]
-		if st.active != ports {
-			sh.pool.active.Store(int64(st.active))
-		}
-		slack += ports - st.active
 		if st.inCS >= 0 {
 			// Adopt the dead holder's critical section before publishing
 			// its lease word: the fresh lock is uncontended and the restore
 			// is single-threaded, so Lock re-establishes ownership
 			// immediately on any backend, and everything that queues later
 			// correctly queues behind the orphan.
-			sh.m().LockDone(st.inCS, nil)
+			sh.m.LockDone(st.inCS, nil)
 		}
 		for p := 0; p < ports; p++ {
 			epoch := (st.words[p] >> leaseEpochShift) + 1
@@ -292,9 +273,6 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 			sh.pool.words[p].Store(epoch<<leaseEpochShift | state)
 		}
 	}
-	// Bank the shrunk stripes' headroom as slack, as the shrink passes
-	// that created it did; without the adaptive policy it just sits unused.
-	t.slack.Store(int64(slack))
 	t.finishInit(cfg, orphans > 0)
 	return t, nil
 }

@@ -1,7 +1,12 @@
 package rme_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,8 +17,8 @@ import (
 
 // This file pins the Checkpoint/RestoreTable contract in-process: exact
 // round-trip of the arena shape and key-to-stripe map, strict epoch
-// advancement across the restore, orphan surfacing and healing, the
-// mid-migration-quiesce snapshot, option-mismatch rejection, and the
+// advancement across the restore, orphan surfacing and healing,
+// option-mismatch rejection, rejection of older format versions, and the
 // never-panic decode of corrupted or truncated bytes. The real
 // process-boundary proof lives in syscrash_test.go.
 
@@ -202,62 +207,6 @@ func TestCheckpointRestoreHealsOrphans(t *testing.T) {
 	})
 }
 
-// TestCheckpointMidMigrationQuiesce snapshots a table while a stripe's
-// migration barrier is closed and draining — the gate half-way state PR 8
-// introduced — and proves the image restores to a sane arena: the stripe
-// keeps its pre-swap shape (the migration never happened in the image),
-// the gate is open, and the held tenancy that was blocking the drain
-// surfaces as a reclaimable orphan.
-func TestCheckpointMidMigrationQuiesce(t *testing.T) {
-	tbl := rme.NewLockTable(4, 4, rme.WithTableSeed(41), rme.WithShardBackend(rme.FlatBackend))
-	defer tbl.Close()
-	key := distinctStripeKeys(t, tbl, 1)[0]
-	si := tbl.ShardIndex(key)
-
-	// A live holder keeps the stripe from draining, so the migration's
-	// quiesce barrier stays closed until we let go.
-	tbl.Lock(key)
-	migDone := make(chan bool, 1)
-	go func() { migDone <- tbl.ForceMigrate(si, rme.TreeBackend, 5*time.Second) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for !tbl.GateClosed(si) {
-		if time.Now().After(deadline) {
-			t.Fatal("migration barrier never closed")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	data := mustCheckpoint(t, tbl)
-	tbl.Unlock(key)
-	<-migDone // let the migration finish (or time out) before Close
-
-	nt, err := rme.RestoreTable(data)
-	if err != nil {
-		t.Fatalf("RestoreTable of mid-quiesce image: %v", err)
-	}
-	defer nt.Close()
-	if got := nt.ShardBackendOf(si); got != rme.FlatBackend {
-		t.Fatalf("mid-quiesce image restored stripe as %v; the swap had not happened, want flat", got)
-	}
-	if nt.GateClosed(si) {
-		t.Fatal("restored stripe's migration gate is closed; gates are volatile state")
-	}
-	if got := nt.Orphans(); got != 1 {
-		t.Fatalf("restored with %d orphans, want the one draining holder", got)
-	}
-	if !nt.Held(key) {
-		t.Fatal("the holder blocking the drain was in its CS; restored image lost it")
-	}
-	if n := nt.Reclaim(); n != 1 {
-		t.Fatalf("Reclaim healed %d, want 1", n)
-	}
-	nt.Lock(key)
-	nt.Unlock(key)
-	if !nt.Quiesced() {
-		t.Fatal("restored table not quiesced")
-	}
-}
-
 // TestCheckpointRestoreOptionMismatch pins the two restore-specific option
 // rules: an explicit WithShardBackend or WithTableSeed that contradicts
 // the image errors (and a matching or Auto-resolving one does not). The
@@ -327,6 +276,39 @@ func TestCheckpointCorruptBytes(t *testing.T) {
 		mut := append([]byte{}, data...)
 		mut[i] ^= 0xff
 		mustReject("byte flipped", mut)
+	}
+}
+
+// TestCheckpointRejectsVersion1 feeds RestoreTable a well-formed image
+// of format version 1 — which also carried a per-stripe lock shape and
+// active-port bound — and requires an error wrapping
+// ErrCheckpointCorrupt. The image is testdata/checkpoint_v1.bin: a 2×2
+// table (seed 3) checkpointed with key 1 held, by the last version-1
+// writer.
+func TestCheckpointRejectsVersion1(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Prove the fixture is intact, so the rejection below is about the
+	// version word and not a checksum or magic mismatch.
+	body := data[:len(data)-4]
+	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(data[len(data)-4:]); got != want {
+		t.Fatalf("fixture checksum %#x, recorded %#x", got, want)
+	}
+	if v := binary.LittleEndian.Uint32(body[8:]); v != 1 {
+		t.Fatalf("fixture version %d, want 1", v)
+	}
+	nt, err := rme.RestoreTable(data)
+	if err == nil {
+		nt.Close()
+		t.Fatal("version-1 image restored")
+	}
+	if !errors.Is(err, rme.ErrCheckpointCorrupt) {
+		t.Fatalf("error does not wrap ErrCheckpointCorrupt: %v", err)
+	}
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("error does not name the rejected version: %v", err)
 	}
 }
 

@@ -28,42 +28,55 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestDispatchQuiescedPendingDelivery is the quiesce-reasoning regression
-// test (the same class of bug as the PR 8 inbox-depth fix, one window
-// later): an async request that has been swapped out of its stripe's
-// inbox but whose delivery has not yet acquired a lease holds nothing the
-// old Quiesced() could see — InUse() was 0 and the inbox depth had
-// already been decremented at swap time — so the table reported quiescent
-// with a grant still owed. The fix keeps each request in its stripe's
-// pending count until its delivery holds the lease (or sheds), closing
-// the window: at every instant a submitted-but-unsettled request is
-// visible through InboxDepth or InUse.
+// test (the same class of bug as the inbox-depth accounting fix, one
+// window later): an async request that has been swapped out of its
+// stripe's inbox but whose delivery has not yet acquired a lease holds
+// nothing the old Quiesced() could see — the inbox depth had already been
+// decremented at swap time — so the table reported quiescent with a grant
+// still owed. The fix keeps each request in its stripe's pending count
+// until its delivery holds the lease (or sheds), closing the window: at
+// every instant a submitted-but-unsettled request is visible through
+// InboxDepth or InUse.
 //
-// The window is pinned deterministically by force-closing the stripe's
-// migration gate: the delivery parks at the barrier after the swap,
-// holding no lease, and stays there until the test reopens it.
+// The window is pinned deterministically on a 1-port stripe: a sync Lock
+// holds the only port, so the delivery parks on the lease chain after the
+// swap, holding no lease, and stays there until the holder unlocks.
 func TestDispatchQuiescedPendingDelivery(t *testing.T) {
-	tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(1))
+	tbl := rme.NewLockTable(1, 1, rme.WithTableSeed(1))
 	defer tbl.Close()
 
-	tbl.SetGateClosed(0, true)
+	tbl.Lock(1)
 	ch := tbl.LockAsync(7)
 
-	// The delivery has reached the gate: batch swapped, no lease taken.
-	waitFor(t, 5*time.Second, "delivery parked at the migration gate", func() bool {
-		return tbl.GateWaiters(0) > 0
+	// The delivery is waiting for a port: batch swapped, no lease taken.
+	waitFor(t, 5*time.Second, "delivery parked on the lease chain", func() bool {
+		return tbl.LeaseWaiters(0) > 0
 	})
-	if n := tbl.InUse(); n != 0 {
-		t.Fatalf("InUse() = %d with the delivery parked at the gate, want 0", n)
-	}
-	if tbl.Quiesced() {
-		t.Fatal("Quiesced() = true with an async request pending delivery")
+	if n := tbl.InUse(); n != 1 {
+		t.Fatalf("InUse() = %d with the delivery parked for a port, want 1 (the sync holder)", n)
 	}
 	if d := tbl.Stats().Shards[0].InboxDepth; d != 1 {
 		t.Fatalf("InboxDepth = %d with one undelivered request, want 1", d)
 	}
+	if tbl.Quiesced() {
+		t.Fatal("Quiesced() = true with an async request pending delivery")
+	}
 
-	tbl.SetGateClosed(0, false)
-	g := <-ch
+	// From the holder's release until the grant is settled, the request is
+	// visible through InboxDepth or InUse at every instant.
+	tbl.Unlock(1)
+	var g rme.Grant
+	for got := false; !got; {
+		if tbl.Quiesced() {
+			t.Fatal("Quiesced() = true between the holder's release and the grant")
+		}
+		select {
+		case g = <-ch:
+			got = true
+		default:
+			runtime.Gosched()
+		}
+	}
 	if tbl.Quiesced() {
 		t.Fatal("Quiesced() = true with an unsettled grant outstanding")
 	}

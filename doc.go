@@ -96,7 +96,7 @@
 // stripe's critical section or stall the queue behind it — so it must be
 // swept promptly, exactly as RME's progress guarantees assume crashed
 // processes restart. A table built with WithSupervisor sweeps itself (see
-// "Self-managing tables" below, and examples/locktable for the pattern
+// "Supervised tables" below, and examples/locktable for the pattern
 // under a crash storm); a table without one must call Reclaim from its
 // own supervision loop after observing a death. Callers with a latency
 // budget rather than a liveness obligation should use the abortable tier
@@ -247,55 +247,28 @@
 // crash-free grant path and the deterministic pre-expired shed stay
 // inside the zero-allocation gate on all three backends.
 //
-// # Self-managing tables
+// # Supervised tables
 //
-// Everything above leaves a deployment two standing chores: running a
-// reclaim loop so crashed tenancies are swept, and choosing the arena's
-// port counts and shard backend up front for a workload it has not seen
-// yet. WithSupervisor moves both into the table. A supervised table runs
-// one background goroutine that ticks on a jittered interval and, each
-// tick:
-//
-//   - Sweeps orphans under a liveness budget. Up to MaxHealsPerTick
-//     stripes are healed per tick, a round-robin cursor guaranteeing
-//     every stripe is reached within a few ticks even mid-storm. Each
-//     heal claims every orphan on its stripe before recovering any of
-//     them — the same two-phase discipline Reclaim uses, so batched
-//     recovery cannot hold-and-wait on dead tenancies queued behind one
-//     another — and abandoned async grants drain through the same
-//     machinery. A supervised table therefore needs no manual Reclaim
-//     calls, for crashes, cancellations, or abandoned grants alike.
-//   - Resizes port pools (AdaptivePorts). Stripes observed idle shrink
-//     toward MinPorts, banking the freed quota in a table-wide slack
-//     pool; stripes with queued lease waiters grow out of it; and an
-//     acquirer that finds its stripe's pool exhausted under skew steals
-//     a port of slack directly rather than waiting for the next tick.
-//     Resizing moves only the pool's admission bound — lease words are
-//     epoch-stamped and never recycled across a resize — so the fencing
-//     and orphan-detection invariants are exactly those of the fixed-
-//     size pool (see PortLeaser.Resize for the full argument).
-//   - Migrates stripe shapes (Migrate). A stripe whose measured wakes-
-//     per-acquisition stays above HotWakesPerOp at a large active pool
-//     is rebuilt live as an arbitration tree; one idling at or below
-//     ColdWakesPerOp at small k becomes the flat lock; the middle
-//     ground runs the MCS queue lock. HysteresisTicks of consecutive
-//     agreement are required before any flip (and after one, before the
-//     next), so the policy cannot flap. The swap itself closes the
-//     stripe's admission gate — new entrants park and re-route, no
-//     tenancy ever straddles a swap — drains in-flight tenancies,
-//     verifies the outgoing backend is idle, and installs the new shape
-//     with the crash-injection hook carried over; a stripe that cannot
-//     quiesce within QuiesceTimeout keeps its old shape and the gate
-//     reopens harmlessly.
+// Everything above leaves a deployment a standing chore: running a
+// reclaim loop so crashed tenancies are swept. WithSupervisor moves it
+// into the table. A supervised table runs one background goroutine that
+// ticks on a jittered interval and, each tick, sweeps orphans under a
+// liveness budget. Up to MaxHealsPerTick stripes are healed per tick, a
+// round-robin cursor guaranteeing every stripe is reached within a few
+// ticks even mid-storm. Each heal claims every orphan on its stripe
+// before recovering any of them — the same two-phase discipline Reclaim
+// uses, so batched recovery cannot hold-and-wait on dead tenancies
+// queued behind one another — and abandoned async grants drain through
+// the same machinery. A supervised table therefore needs no manual
+// Reclaim calls, for crashes, cancellations, or abandoned grants alike.
+// A stripe's lock shape and port count stay as NewLockTable built them.
 //
 // Close stops the supervisor and joins every recovery it started.
 // SupervisorStats (in TableStats, JSON-ready like the rest of the
-// observability surface) reports sweeps, stripes and ports healed,
-// migrations by target shape, and the pool economy's grows, shrinks,
-// and steals. The committed BENCH_keyed_adaptive.json baseline pins the
-// feature's cost claim: a supervised table at steady state — supervisor
-// ticking, pools adapted, hot stripes migrated — still runs crash-free
-// passages allocation-free.
+// observability surface) reports sweeps and stripes and ports healed.
+// The committed BENCH_keyed_supervised.json baseline pins the feature's
+// cost claim: a supervised table with its supervisor ticking still runs
+// crash-free passages allocation-free.
 //
 // # System-wide crashes and snapshots
 //
@@ -310,8 +283,8 @@
 // incarnation, from that image alone.
 //
 // Checkpoint and RestoreTable are that tier. Checkpoint serializes the
-// durable half of a LockTable — the arena shape (stripes, per-stripe
-// backend and active-port bound, seed) and every port's lease word, key,
+// durable half of a LockTable — the arena shape (stripes, ports,
+// backend, seed) and every port's lease word, key,
 // and critical-section ownership — into a self-describing, versioned,
 // checksummed byte image; in the NVRAM reading, these are the words the
 // paper's model keeps in non-volatile memory, while parked waiters,

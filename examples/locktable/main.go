@@ -1,4 +1,4 @@
-// locktable: the self-managing keyed lock service under fire. A pool of
+// locktable: the supervised keyed lock service under fire. A pool of
 // worker goroutines increments per-account balances in a "non-volatile"
 // ledger, locking each account by name through a LockTable — many
 // possible account keys striped over a small arena of recoverable
@@ -17,13 +17,9 @@
 // hand-rolled reclaim sweep in every worker's recovery path; the
 // supervised table makes that whole pattern disappear.
 //
-// The account traffic is deliberately skewed (a zipf draw puts most
-// deposits on one hot account), so the supervisor's adaptive policies
-// have something to notice: cold stripes shrink their port pools toward
-// the floor while the hot stripe keeps its full complement, and the hot
-// stripe's wakes-per-acquisition profile drives a live migration from
-// the flat lock shape it started with to a shape built for hand-off
-// traffic — while deposits keep flowing.
+// The account traffic is deliberately skewed (a skewed draw puts most
+// deposits on one hot account), so the hot stripe is genuinely contended
+// and most deaths land where they stall the most waiters.
 //
 // Alongside the storm, an auditor reports running totals on a latency
 // budget: each account is read under LockContext with 1ms to spare, and
@@ -33,9 +29,8 @@
 // last published balance instead of queueing behind recovery.
 //
 // The invariant checked at the end: every increment applied exactly
-// once and no port left orphaned, despite the crash storm and the
-// stripe shapes changing underfoot — with SupervisorStats showing who
-// did the housekeeping.
+// once and no port left orphaned, despite the crash storm — with
+// SupervisorStats showing who did the housekeeping.
 //
 //	go run ./examples/locktable
 package main
@@ -102,8 +97,7 @@ func withRecovery(fn func()) (ok bool) {
 // deposit — applied before the release began — counts exactly once
 // either way. The scheduler yield inside the critical section models
 // real CS work crossing a scheduler boundary; it is also what makes the
-// hot account genuinely contended on any GOMAXPROCS, giving the
-// supervisor's shape policy a hand-off profile worth migrating for.
+// hot account genuinely contended on any GOMAXPROCS.
 func (l *ledger) deposit(acct string, amount int) {
 	for !withRecovery(func() { l.tbl.LockString(acct) }) {
 	}
@@ -140,23 +134,12 @@ func (l *ledger) auditTotal() (total int, degraded int) {
 }
 
 func main() {
-	// A 4-stripe × 48-port arena, deliberately built on flat shards — the
-	// wrong shape for a 48-port stripe under hand-off-heavy traffic — and
-	// handed to a supervisor aggressive enough to fix that during the
-	// storm: millisecond ticks, adaptive pools with a floor of 4 ports,
-	// and shape migration at a low wakes-per-acquisition threshold.
+	// A 4-stripe × 48-port flat arena with a reclaim-only supervisor
+	// sweeping every millisecond.
 	l := &ledger{tbl: rme.NewLockTable(4, 48,
 		rme.WithNodePool(true),
 		rme.WithShardBackend(rme.FlatBackend),
-		rme.WithSupervisor(rme.SupervisorConfig{
-			Interval:        time.Millisecond,
-			AdaptivePorts:   true,
-			MinPorts:        4,
-			Migrate:         true,
-			HotWakesPerOp:   0.05,
-			ColdWakesPerOp:  0.005,
-			HysteresisTicks: 2,
-		}))}
+		rme.WithSupervisor(rme.SupervisorConfig{Interval: time.Millisecond}))}
 	defer l.tbl.Close() // joins the supervisor and every heal it started
 
 	// Kill a worker roughly every two thousand protocol steps.
@@ -170,7 +153,7 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Zipf-skewed account choice: most deposits land on the hot
+			// Skewed account choice: most deposits land on the hot
 			// account, the tail spreads over the rest.
 			rng := xrand.New(uint64(w) + 1)
 			for i := 0; i < deposits; i++ {
@@ -230,14 +213,10 @@ func main() {
 
 	st := l.tbl.Stats()
 	sup := st.Supervisor
-	fmt.Printf("supervisor: %d sweeps, %d orphaned ports healed across %d stripe heals\n",
-		sup.Sweeps, sup.PortsHealed, sup.StripesHealed)
-	fmt.Printf("pool policy: %d shrinks, %d grows, %d steals; shape policy: %d migrations (%d→tree, %d→mcs, %d→flat)\n",
-		sup.Shrinks, sup.Grows, sup.Steals,
-		sup.Migrations(), sup.MigrationsToTree, sup.MigrationsToMCS, sup.MigrationsToFlat)
+	fmt.Printf("supervisor: Sweeps=%d StripesHealed=%d PortsHealed=%d\n",
+		sup.Sweeps, sup.StripesHealed, sup.PortsHealed)
 	for i, sh := range st.Shards {
-		fmt.Printf("  stripe %d: backend=%s active_ports=%d acquires=%d wakes/op=%.2f\n",
-			i, sh.Backend, sh.ActivePorts, sh.Acquires, sh.WakesPerOp())
+		fmt.Printf("  stripe %d: acquires=%d wakes/op=%.2f\n", i, sh.Acquires, sh.WakesPerOp())
 	}
 	fmt.Printf("%d budget audits during the storm: %d degraded reads, %d deadline sheds counted by the table\n",
 		audits.Load(), degradedReads.Load(), st.Total().Timeouts)

@@ -1,7 +1,5 @@
 package rme
 
-import "time"
-
 // Test-only bridge for the external (rme_test) suite.
 
 // SetNoAbortFixup toggles the hazard hook that disables the cooperative
@@ -11,61 +9,10 @@ import "time"
 // tenancy is dropped held). Production code never flips this.
 func (t *LockTable) SetNoAbortFixup(on bool) { t.noAbortFixup.Store(on) }
 
-// ForceMigrate drives one stripe's shape migration directly — the referee
-// tests' handle on migrateShard, bypassing the supervisor's policy loop so
-// a test can flip shapes on demand while traffic runs. Reports whether the
-// swap happened within timeout.
-func (t *LockTable) ForceMigrate(shard int, target ShardBackend, timeout time.Duration) bool {
-	return t.migrateShard(shard, target, timeout)
-}
-
-// ShardBackendOf reports the lock shape currently behind one stripe.
-func (t *LockTable) ShardBackendOf(shard int) ShardBackend {
-	return ShardBackend(t.shards[shard].backend.Load())
-}
-
-// PoolActive reports one stripe's current active-port bound.
-func (t *LockTable) PoolActive(shard int) int { return t.shards[shard].pool.Active() }
-
-// SlackPorts reports the table's banked slack quota.
-func (t *LockTable) SlackPorts() int { return int(t.slack.Load()) }
-
-// PoolResize moves one stripe's active-port bound directly (the
-// PortLeaser.Resize primitive), so steal/grow behavior is testable
-// without waiting for a supervisor's shrink pass.
-func (t *LockTable) PoolResize(shard, n int) int { return t.shards[shard].pool.Resize(n) }
-
-// SetAdaptive flips the acquire path's work-stealing fallback and seeds
-// the slack pool directly, so steal behavior is testable without running
-// a supervisor's shrink pass first.
-func (t *LockTable) SetAdaptive(on bool, slack int) {
-	t.adaptive = on
-	t.slack.Store(int64(slack))
-}
-
-// GateClosed reports whether one stripe's migration barrier is currently
-// closed (mid-quiesce) — how the checkpoint tests pin "snapshot taken
-// while a migration drain is in flight" without sleeping and hoping.
-func (t *LockTable) GateClosed(shard int) bool { return t.shards[shard].gateClosed.Load() }
-
-// SetGateClosed force-closes (or reopens) one stripe's migration barrier
-// without running a migration — how the quiesce regression tests pin "a
-// delivery is blocked at the gate, holding no lease yet" as a stable
-// state instead of a microsecond window inside migrateShard. Reopening
-// broadcasts both parked populations, exactly as reopenGate does.
-func (t *LockTable) SetGateClosed(shard int, closed bool) {
-	sh := &t.shards[shard]
-	sh.gateClosed.Store(closed)
-	if !closed {
-		sh.gate.Broadcast()
-		sh.pool.chain.Broadcast()
-	}
-}
-
-// GateWaiters reports how many entrants are parked on one stripe's
-// migration gate — the deterministic "the delivery has reached the
-// barrier" probe the quiesce regression test polls.
-func (t *LockTable) GateWaiters(shard int) int { return t.shards[shard].gate.Waiters() }
+// LeaseWaiters reports how many acquirers are parked on one stripe's
+// lease chain — the deterministic "the delivery is waiting for a port,
+// holding no lease" probe the quiesce regression test polls.
+func (t *LockTable) LeaseWaiters(shard int) int { return t.shards[shard].pool.chain.Waiters() }
 
 // PortEpoch reports one port's current lease-word fencing epoch, so the
 // restore tests can assert every epoch advanced strictly across the

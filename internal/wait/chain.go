@@ -200,9 +200,9 @@ func (c *Chain) Wake() {
 
 // Broadcast wakes every currently registered waiter. It is the barrier
 // primitive for state flips that invalidate every parked episode at once —
-// a LockTable stripe reopening its migration gate, a lease pool whose
-// active-port bound just grew — where handing out wakes one at a time
-// would leave waiters parked behind a condition that already changed.
+// a LockTable's dispatcher pool closing, say — where handing out wakes one
+// at a time would leave waiters parked behind a condition that already
+// changed.
 // Waiters registering concurrently with the broadcast are covered by the
 // no-lost-wake contract unchanged: they re-check their condition after
 // registration and cancel themselves if the flip already happened.

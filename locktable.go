@@ -74,13 +74,12 @@ type LockTable struct {
 	ports   int
 	backend ShardBackend // resolved to a concrete shape, never Auto
 
-	// strat configures the stripes' lease and gate waits; exec is the
-	// shared dispatcher runtime the async tier runs on — a bounded pool
-	// of workers multiplexed over every stripe's delivery work (see
-	// dispatch.go; WithDispatcherPool sizes it, WithDispatcherSpin sizes
-	// each worker's spin window before an idle park).
-	strat wait.Strategy
-	exec  executor
+	// exec is the shared dispatcher runtime the async tier runs on — a
+	// bounded pool of workers multiplexed over every stripe's delivery
+	// work (see dispatch.go; WithDispatcherPool sizes it,
+	// WithDispatcherSpin sizes each worker's spin window before an idle
+	// park).
+	exec executor
 
 	// freeMu guards the recycled Batch free list (request nodes recycle
 	// through per-shard lists — see lockShard — so the async hot path
@@ -96,20 +95,11 @@ type LockTable struct {
 	// exists to prevent, reproducible on demand by the regression tests.
 	noAbortFixup atomic.Bool
 
-	// Self-management state (see supervisor.go). sup is the background
-	// supervisor, nil unless WithSupervisor was given; migMu serializes
-	// stripe-shape migrations (and SetCrashFunc, so an installed hook can
-	// never be lost across a backend swap); slack is the table-wide pool of
-	// port quota freed by shrunk stripes, spent by grows and steals;
-	// adaptive/minPorts mirror the supervisor's pool policy knobs onto the
-	// acquire path (the work-stealing fallback); supc is the always-present
-	// SupervisorStats counter block.
-	sup      *supervisor
-	migMu    sync.Mutex
-	slack    atomic.Int64
-	adaptive bool
-	minPorts int
-	supc     supCounters
+	// sup is the background supervisor (see supervisor.go), nil unless
+	// WithSupervisor was given; supc is the always-present SupervisorStats
+	// counter block.
+	sup  *supervisor
+	supc supCounters
 }
 
 // portLock is the contract a shard's lock backend satisfies: a k-ported
@@ -139,14 +129,6 @@ type portLock interface {
 	// without queuing — the racy fast-reject probe TryLock uses to keep
 	// ordinary misses free of protocol state.
 	freeHint(port int) bool
-	// quiesceExport is the stripe-migration hook: it verifies the lock is
-	// fully idle — no passage in flight on any port, every queue and
-	// descriptor retired — and exports the installed crash-injection hook
-	// so a replacement backend can inherit it. A false report means some
-	// port still carries protocol state and a swap would corrupt it; the
-	// migration barrier only calls this after draining the stripe's lease
-	// pool, so false is a bail-out signal, not an expected answer.
-	quiesceExport() (CrashFunc, bool)
 }
 
 var (
@@ -236,33 +218,11 @@ func (b ShardBackend) resolve(ports int) ShardBackend {
 
 // lockShard is one stripe: a k-ported recoverable lock (flat, tree, or
 // MCS — see portLock), the lease pool multiplexing workers onto its ports,
-// and the key each leased port is currently locking.
+// and the key each leased port is currently locking. The lock's shape and
+// port count are fixed at construction.
 type lockShard struct {
-	// lk holds the stripe's lock behind an atomic pointer so the
-	// supervisor can swap the backend live (see LockTable.migrateShard).
-	// Everything that touches the lock loads it through m(); the swap
-	// protocol guarantees the pointer never moves while any tenancy of the
-	// stripe is in flight, so a tenancy may re-load it freely — every load
-	// between its lease acquisition and release returns the same backend.
-	lk      atomic.Pointer[portLock]
-	backend atomic.Int32 // the ShardBackend lk currently holds
-	// mk rebuilds the stripe's lock in a given shape with the construction
-	// -time options (same instrumented strategy, same stats block), so a
-	// migration's replacement backend reports into the same counters.
-	mk func(ShardBackend) portLock
-	// strat is the stripe's effective (instrumented) wait strategy — the
-	// one gate and lease waits park under.
-	strat wait.Strategy
-	// gateClosed + gate are the stripe's migration barrier: while closed,
-	// new tenancies park on the gate chain instead of taking leases, so
-	// the stripe drains to quiescence and the backend can be swapped.
-	// gateOpen/leaseCond are the wait conditions, bound once so the gated
-	// slow path does not allocate.
-	gateClosed atomic.Bool
-	gate       wait.Chain
-	gateOpen   func() bool
-	leaseCond  func() bool
-	pool       *PortLeaser
+	m    portLock
+	pool *PortLeaser
 	// key[p] is the key port p's current tenancy is about: stored between
 	// lease acquisition and the port's Lock, read by Held/Unlock scans.
 	// Only meaningful while the port's lease is not free.
@@ -292,10 +252,6 @@ type lockShard struct {
 	reqFree *asyncReq
 }
 
-// m returns the stripe's current lock backend. Safe to call at any time;
-// see the lk field for why a tenancy can re-load it between protocol steps.
-func (sh *lockShard) m() portLock { return *sh.lk.Load() }
-
 // tableSeedClock differentiates the default seeds of successive tables.
 var tableSeedClock atomic.Uint64
 
@@ -324,7 +280,7 @@ func NewLockTable(shards, ports int, opts ...Option) *LockTable {
 		seed = xrand.Mix64(tableSeedClock.Add(1) * 0x9e3779b97f4a7c15)
 	}
 	backend := cfg.backend.resolve(ports)
-	t := newTableArena(shards, ports, seed, backend, cfg, opts, nil)
+	t := newTableArena(shards, ports, seed, backend, cfg, opts)
 	t.finishInit(cfg, false)
 	return t
 }
@@ -334,17 +290,13 @@ func NewLockTable(shards, ports int, opts ...Option) *LockTable {
 // machinery (no supervisor, no dispatchers). NewLockTable and RestoreTable
 // share it: the restore path needs the arena fully built but still inert
 // so it can adopt the checkpointed lease words and critical sections
-// single-threaded, before finishInit makes the table live. stripeBackend,
-// when non-nil, overrides the table-wide backend per stripe (a restored
-// arena reproduces whatever shapes the supervisor had migrated stripes to
-// by checkpoint time).
-func newTableArena(shards, ports int, seed uint64, backend ShardBackend, cfg config, opts []Option, stripeBackend []ShardBackend) *LockTable {
+// single-threaded, before finishInit makes the table live.
+func newTableArena(shards, ports int, seed uint64, backend ShardBackend, cfg config, opts []Option) *LockTable {
 	t := &LockTable{
 		shards:  make([]lockShard, shards),
 		seed:    seed,
 		ports:   ports,
 		backend: backend,
-		strat:   cfg.strat,
 	}
 	t.exec.init(t, cfg.dispatcherPool(), cfg.dispSpin)
 	for i := range t.shards {
@@ -365,32 +317,18 @@ func newTableArena(shards, ports int, seed uint64, backend ShardBackend, cfg con
 		// wins over a table-wide WithWaitStrategy.
 		shOpts := append(append(make([]Option, 0, len(opts)+1), opts...),
 			WithWaitStrategy(wait.Instrumented(eff, stats)))
-		instrumented := wait.Instrumented(eff, stats)
-		mk := func(b ShardBackend) portLock {
-			switch b {
-			case TreeBackend:
-				return NewTree(ports, shOpts...)
-			case MCSBackend:
-				return NewMCS(ports, shOpts...)
-			default:
-				return New(ports, shOpts...)
-			}
-		}
 		sh := &t.shards[i]
-		sh.mk = mk
-		sh.strat = instrumented
+		switch backend {
+		case TreeBackend:
+			sh.m = NewTree(ports, shOpts...)
+		case MCSBackend:
+			sh.m = NewMCS(ports, shOpts...)
+		default:
+			sh.m = New(ports, shOpts...)
+		}
 		sh.pool = NewPortLeaser(ports, shOpts...)
 		sh.key = make([]atomic.Uint64, ports)
 		sh.stats = stats
-		b := backend
-		if stripeBackend != nil {
-			b = stripeBackend[i]
-		}
-		m := mk(b)
-		sh.lk.Store(&m)
-		sh.backend.Store(int32(b))
-		sh.gateOpen = func() bool { return !sh.gateClosed.Load() }
-		sh.leaseCond = func() bool { return sh.pool.anyFree() || sh.gateClosed.Load() }
 	}
 	return t
 }
@@ -461,17 +399,6 @@ type ShardStats struct {
 	// InboxDepth and the lease-pool gauges overlap rather than leaving a
 	// window — the invariant Quiesced's reasoning rests on.
 	InboxDepth int
-	// Backend is the lock shape currently behind the stripe — under a
-	// supervisor with migration enabled, stripes diverge from the
-	// construction-time choice, and this is where the divergence shows.
-	// Zero-valued (AutoBackend) in a Total() aggregate, where a single
-	// shape is meaningless.
-	Backend ShardBackend
-	// ActivePorts is the stripe's current lease-pool bound (see
-	// PortLeaser.Resize): how many of its capacity ports new tenancies are
-	// drawn from. Equal to the construction port count unless the adaptive
-	// pool policy has resized the stripe.
-	ActivePorts int
 }
 
 // WakesPerOp returns the stripe's wake count per completed acquisition —
@@ -486,8 +413,7 @@ func (s ShardStats) WakesPerOp() float64 {
 
 // TableStats is the table-wide observability snapshot: one ShardStats per
 // stripe, in shard order, plus the supervisor's own counters (all zero on
-// a table without WithSupervisor, except Steals which the work-stealing
-// fallback can also drive) and the shared dispatcher runtime's pool
+// a table without WithSupervisor) and the shared dispatcher runtime's pool
 // gauges.
 type TableStats struct {
 	Shards     []ShardStats
@@ -509,7 +435,6 @@ func (ts TableStats) Total() ShardStats {
 		sum.Timeouts += s.Timeouts
 		sum.Orphans += s.Orphans
 		sum.InboxDepth += s.InboxDepth
-		sum.ActivePorts += s.ActivePorts
 	}
 	return sum
 }
@@ -545,8 +470,6 @@ func (t *LockTable) Stats() TableStats {
 			}
 		}
 		s.InboxDepth = int(sh.disp.depth.Load())
-		s.Backend = ShardBackend(sh.backend.Load())
-		s.ActivePorts = sh.pool.Active()
 	}
 	ts.Supervisor = t.supc.snapshot()
 	ts.Dispatcher = t.exec.stats()
@@ -612,12 +535,12 @@ func hashString(s string) uint64 {
 func (t *LockTable) Lock(key uint64) { t.lockKeyDone(t.shardOf(key), key, nil) }
 
 // lockKeyDone is the table's one keyed passage — the sync, context and
-// async entry points all run it: a gated lease, the key's registration,
-// and the port's passage under the orphan-on-crash guard. It reports
-// false, holding nothing, only if done closed first (a nil done never
-// does); a port passage abandoned mid-wait is handed to the abort fix-up.
+// async entry points all run it: a lease, the key's registration, and the
+// port's passage under the orphan-on-crash guard. It reports false,
+// holding nothing, only if done closed first (a nil done never does); a
+// port passage abandoned mid-wait is handed to the abort fix-up.
 func (t *LockTable) lockKeyDone(sh *lockShard, key uint64, done <-chan struct{}) (PortLease, bool) {
-	l, ok := t.acquireLeaseDone(sh, done)
+	l, ok := sh.pool.AcquireDone(done)
 	if !ok {
 		return PortLease{}, false
 	}
@@ -629,83 +552,12 @@ func (t *LockTable) lockKeyDone(sh *lockShard, key uint64, done <-chan struct{})
 	return l, true
 }
 
-// acquireLeaseDone is the table's gated lease acquisition: every tenancy
-// start — sync, async dispatcher, batch walk — comes through here rather
-// than PortLeaser.AcquireDone, because two table-level concerns wrap the
-// pool's own wait. First the migration gate: while the stripe's barrier
-// is closed, entrants park on the gate chain instead of taking leases, so
-// the stripe drains and the backend can be swapped (see migrateShard).
-// Second the work-stealing fallback: a stripe that exhausts its active
-// ports under skew grows itself out of the table's slack quota instead of
-// parking, when the adaptive-pool policy is on. ok is false only if done
-// closed first; a nil done never does.
-func (t *LockTable) acquireLeaseDone(sh *lockShard, done <-chan struct{}) (PortLease, bool) {
-	for {
-		if sh.gateClosed.Load() {
-			if !sh.gate.WaitDone(sh.strat, sh.gateOpen, done) {
-				return PortLease{}, false
-			}
-			continue
-		}
-		if l, ok := sh.pool.TryAcquire(); ok {
-			// Post-acquire gate re-check, the barrier's closing half of the
-			// Dekker handshake: this CAS (seq-cst) precedes this load, and
-			// the migration waiter stores gateClosed before scanning the
-			// lease words — so if the gate was already closed when we
-			// acquired, either this load sees it (we hand the port back and
-			// park) or our CAS landed before the waiter's scan and the
-			// barrier waits for this tenancy. Either way no tenancy can
-			// straddle the backend swap.
-			if sh.gateClosed.Load() {
-				sh.pool.Release(l)
-				continue
-			}
-			return l, true
-		}
-		if t.steal(sh) {
-			continue
-		}
-		if !sh.pool.chain.WaitDone(sh.strat, sh.leaseCond, done) {
-			return PortLease{}, false
-		}
-	}
-}
-
-// steal is the adaptive pool's work-stealing fallback: an acquirer that
-// found every active port of its stripe leased takes one unit of the
-// table's slack quota (banked by stripes the supervisor shrank) and
-// raises its own stripe's active bound with it, bounded by the stripe's
-// capacity. It reports whether a port was gained (the caller retries its
-// TryAcquire immediately). With the adaptive policy off — or no slack
-// banked — it does nothing and the acquirer parks as before.
-func (t *LockTable) steal(sh *lockShard) bool {
-	if !t.adaptive {
-		return false
-	}
-	for {
-		s := t.slack.Load()
-		if s <= 0 {
-			return false
-		}
-		if t.slack.CompareAndSwap(s, s-1) {
-			break
-		}
-	}
-	if sh.pool.grow(1) == 0 {
-		// The stripe was already at capacity; return the quota.
-		t.slack.Add(1)
-		return false
-	}
-	t.supc.steals.Add(1)
-	return true
-}
-
 // LockString is Lock for a string key.
 func (t *LockTable) LockString(key string) { t.Lock(hashString(key)) }
 
 func (sh *lockShard) unlockPort(l PortLease) {
 	defer sh.pool.orphanGuard(l)
-	sh.m().Unlock(l.Port)
+	sh.m.Unlock(l.Port)
 }
 
 // closedChan is the pre-closed cancellation channel TryLock hands to
@@ -731,21 +583,12 @@ var closedChan = func() chan struct{} {
 // background); the miss report is unaffected.
 func (t *LockTable) TryLock(key uint64) bool {
 	sh := t.shardOf(key)
-	if sh.gateClosed.Load() {
-		return false // stripe mid-migration: a try-lock declines, not parks
-	}
 	l, ok := sh.pool.TryAcquire()
 	if !ok {
 		return false
 	}
-	if sh.gateClosed.Load() {
-		// The migration barrier closed between the probe and the CAS (the
-		// same Dekker re-check as acquireLeaseDone); hand the port back.
-		sh.pool.Release(l)
-		return false
-	}
 	sh.key[l.Port].Store(key)
-	if !sh.m().freeHint(l.Port) {
+	if !sh.m.freeHint(l.Port) {
 		sh.pool.Release(l)
 		return false
 	}
@@ -799,7 +642,7 @@ func (t *LockTable) LockContextString(ctx context.Context, key string) error {
 // not allocate).
 func (sh *lockShard) lockPortDone(l PortLease, done <-chan struct{}) bool {
 	defer sh.pool.orphanGuard(l)
-	if !sh.m().LockDone(l.Port, done) {
+	if !sh.m.LockDone(l.Port, done) {
 		return false
 	}
 	sh.acquires.Add(1)
@@ -850,17 +693,22 @@ func (sh *lockShard) abortTenancy(t *LockTable, l PortLease) {
 		}
 		return
 	}
-	go sh.reclaimAborted(l)
+	go sh.recoverPort(l)
 }
 
-// reclaimAborted is the abort fix-up: the same recovery loop a reclaim
-// sweep runs on an orphan, applied to the aborting caller's own port.
-func (sh *lockShard) reclaimAborted(l PortLease) {
+// recoverPort is the one recovery body behind every reclaim path — a
+// sweep's claimed orphan, the supervisor's heal, and the abort fix-up. It
+// runs the port's recovery to completion, absorbing injected crashes:
+// LockDone recovers whatever the dead (or departed) worker left — CS
+// re-entry, queue repair, exit completion — Unlock releases, and a crash
+// during Unlock is in turn recovered by the next LockDone. The port then
+// returns to the pool. l must be in the reclaiming state.
+func (sh *lockShard) recoverPort(l PortLease) {
 	for {
-		if crashes(func() { sh.m().LockDone(l.Port, nil) }) {
+		if crashes(func() { sh.m.LockDone(l.Port, nil) }) {
 			continue
 		}
-		if !crashes(func() { sh.m().Unlock(l.Port) }) {
+		if !crashes(func() { sh.m.Unlock(l.Port) }) {
 			break
 		}
 	}
@@ -881,7 +729,7 @@ func (sh *lockShard) holderOf(key uint64) (PortLease, bool) {
 		if w&leaseStateMask != leaseHeld {
 			continue
 		}
-		if sh.m().Held(p) {
+		if sh.m.Held(p) {
 			return PortLease{Port: p, epoch: w >> leaseEpochShift}, true
 		}
 	}
@@ -919,7 +767,7 @@ func (t *LockTable) Held(key uint64) bool {
 		if sh.pool.words[p].Load()&leaseStateMask == leaseFree {
 			continue
 		}
-		if sh.m().Held(p) {
+		if sh.m.Held(p) {
 			return true
 		}
 	}
@@ -965,10 +813,9 @@ func (t *LockTable) InUse() int {
 // pipeline, not just unread inboxes: a request counts as pending from
 // its submission until its delivery holds a lease, so a stripe sitting
 // on the executor's run queue, or a batch a worker has swapped but not
-// yet delivered (it may be parked at a migration gate, holding nothing),
+// yet delivered (it may be parked on the lease chain, holding nothing),
 // keeps the table non-quiescent — the two regressions that motivated the
-// check (the PR 8 inbox-depth fix and TestDispatchQuiescedPendingDelivery),
-// and the condition the migration barrier's drain relies on.
+// check (the inbox-depth accounting and TestDispatchQuiescedPendingDelivery).
 //
 // Like all inspection methods it is a racy snapshot; it is exact once
 // submitters have stopped. That exactness needs the reads ordered
@@ -1039,23 +886,10 @@ func (t *LockTable) ReclaimWith(fn func(key uint64, inCS bool)) int {
 		wg.Add(1)
 		go func(c claim) {
 			defer wg.Done()
-			sh, port := c.sh, c.l.Port
 			if fn != nil {
-				fn(sh.key[port].Load(), sh.m().Held(port))
+				fn(c.sh.key[c.l.Port].Load(), c.sh.m.Held(c.l.Port))
 			}
-			// Run the port's recovery to completion, absorbing injected
-			// crashes: Lock recovers whatever the dead worker left (CS
-			// re-entry, queue repair, exit completion), Unlock releases;
-			// a crash during Unlock is in turn recovered by the next Lock.
-			for {
-				if crashes(func() { sh.m().LockDone(port, nil) }) {
-					continue
-				}
-				if !crashes(func() { sh.m().Unlock(port) }) {
-					break
-				}
-			}
-			sh.pool.finishReclaim(c.l)
+			c.sh.recoverPort(c.l)
 		}(c)
 	}
 	wg.Wait()
@@ -1100,14 +934,10 @@ func (t *LockTable) DoString(key string, fn func()) { t.Do(hashString(key), fn) 
 
 // SetCrashFunc installs (or, with nil, removes) the crash-injection hook
 // on every shard's lock. The hook's port argument is the shard-local
-// port. Serialized against stripe migrations (a backend swap exports the
-// old lock's hook onto its replacement, so an install racing a swap can
-// never be lost).
+// port.
 func (t *LockTable) SetCrashFunc(fn CrashFunc) {
-	t.migMu.Lock()
-	defer t.migMu.Unlock()
 	for i := range t.shards {
-		t.shards[i].m().SetCrashFunc(fn)
+		t.shards[i].m.SetCrashFunc(fn)
 	}
 }
 

@@ -384,9 +384,8 @@ func (t *LockTable) Close() {
 	if t.closed.Swap(true) {
 		return
 	}
-	// Join the supervisor first: its loop must not start a migration or a
-	// resize against a table that is winding down, and Close returning means
-	// no supervisor work is still in flight (heal goroutines included).
+	// Join the supervisor first: Close returning means no supervisor work
+	// is still in flight (heal goroutines included).
 	if t.sup != nil {
 		t.sup.join()
 	}
@@ -455,12 +454,6 @@ func (t *LockTable) deliver(sh *lockShard, r *asyncReq) {
 	var l PortLease
 	for {
 		crashed := crashes(func() {
-			// The gated table acquisition, not pool.Acquire directly: a
-			// worker delivering mid-migration parks on the stripe's gate
-			// like any other entrant (it holds deliverMu, which the
-			// migration never takes, so parking here cannot deadlock the
-			// barrier — though it does occupy a pool slot for the drain's
-			// duration; see the liveness note in the file comment).
 			l, _ = t.lockKeyDone(sh, r.key, nil)
 		})
 		if !crashed {

@@ -425,11 +425,12 @@ func TestLockBatchBasics(t *testing.T) {
 		prev = s
 	}
 	// A rival on a batched stripe must be excluded until Unlock.
-	entered := make(chan struct{})
+	entered, released := make(chan struct{}), make(chan struct{})
 	go func() {
 		tbl.Lock(keys[0])
 		close(entered)
 		tbl.Unlock(keys[0])
+		close(released)
 	}()
 	select {
 	case <-entered:
@@ -442,6 +443,7 @@ func TestLockBatchBasics(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("rival starved after batch release")
 	}
+	<-released // the rival's Unlock must land before quiescence is judged
 	if !tbl.Quiesced() {
 		t.Fatal("table not quiesced after batch")
 	}
@@ -465,11 +467,12 @@ func TestLockBatchString(t *testing.T) {
 	}
 	// Every name's stripe is excluded regardless of which digest is
 	// registered.
-	entered := make(chan struct{})
+	entered, released := make(chan struct{}), make(chan struct{})
 	go func() {
 		tbl.LockString(names[1])
 		close(entered)
 		tbl.UnlockString(names[1])
+		close(released)
 	}()
 	select {
 	case <-entered:
@@ -482,6 +485,7 @@ func TestLockBatchString(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("rival starved after string batch release")
 	}
+	<-released // the rival's Unlock must land before quiescence is judged
 	if !tbl.Quiesced() {
 		t.Fatal("table not quiesced after string batch")
 	}

@@ -177,7 +177,7 @@ func (b *Batch) lockAllDone(done <-chan struct{}) *lockShard {
 			j++
 		}
 		sh := &b.t.shards[b.shard[i]]
-		l, ok := b.t.acquireLeaseDone(sh, done)
+		l, ok := sh.pool.AcquireDone(done)
 		if !ok {
 			return sh
 		}
@@ -189,7 +189,7 @@ func (b *Batch) lockAllDone(done <-chan struct{}) *lockShard {
 		// Record before locking: a crash inside the passage must find
 		// this stripe in the held set.
 		b.stripes = append(b.stripes, batchStripe{sh: sh, l: l})
-		if !sh.m().LockDone(l.Port, done) {
+		if !sh.m.LockDone(l.Port, done) {
 			// The aborted stripe repairs itself; drop it from the held set
 			// so neither the crash guard nor the caller's unwind touches
 			// its (now reclaiming) lease.
@@ -230,7 +230,7 @@ func (b *Batch) Unlock() {
 	defer b.orphanUnreleasedOnCrash()
 	for i := range b.stripes {
 		st := &b.stripes[i]
-		st.sh.m().Unlock(st.l.Port)
+		st.sh.m.Unlock(st.l.Port)
 		st.sh.pool.Release(st.l)
 		b.released = i + 1
 	}

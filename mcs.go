@@ -320,28 +320,6 @@ func (m *MCSMutex) freeHint(int) bool {
 	return m.tail.Load() == 0 && m.enq.Load() == 0
 }
 
-// quiesceExport reports whether the lock is fully idle — every port's
-// phase word retired, queue empty, enqueue descriptor free — and, when it
-// is, exports the installed crash hook for a migration to carry onto the
-// replacement backend. Exact under the caller's quiesce barrier: a
-// non-idle phase word is a passage in flight or an unswept orphan, and a
-// non-zero tail/descriptor is a queue entry whose owner still exists.
-func (m *MCSMutex) quiesceExport() (CrashFunc, bool) {
-	if m.tail.Load() != 0 || m.enq.Load() != 0 {
-		return nil, false
-	}
-	for i := range m.nodes {
-		if m.nodes[i].word.Load()&mcsPhaseMask != mcsIdle {
-			return nil, false
-		}
-	}
-	var fn CrashFunc
-	if pf := m.crashFn.Load(); pf != nil {
-		fn = *pf
-	}
-	return fn, true
-}
-
 // acquireDone runs a fresh passage with the given (new) epoch, cancellable
 // through done (a nil done never cancels).
 func (m *MCSMutex) acquireDone(port int, epoch uint64, done <-chan struct{}) bool {

@@ -312,25 +312,6 @@ func (m *Mutex) freeHint(int) bool {
 	return m.tail.Load().cs.isSet()
 }
 
-// quiesceExport reports whether the lock is fully idle — no port has a
-// passage in flight, so the instance can be replaced wholesale — and, when
-// it is, exports the installed crash hook so a migration can carry it onto
-// the replacement backend. The check is exact under the caller's quiesce
-// barrier (no new Lock can start concurrently): a port with any published
-// node still has a passage or an unswept orphan.
-func (m *Mutex) quiesceExport() (CrashFunc, bool) {
-	for p := range m.node {
-		if m.node[p].Load() != nil {
-			return nil, false
-		}
-	}
-	var fn CrashFunc
-	if pf := m.crashFn.Load(); pf != nil {
-		fn = *pf
-	}
-	return fn, true
-}
-
 // Unlock releases the critical section (the paper's wait-free Exit,
 // lines 27–29). If the calling goroutine crashes part-way through, the
 // port's next Lock call completes the release before acquiring again.

@@ -219,19 +219,15 @@ func WithShardStrategy(fn func(shard int) WaitStrategy) Option {
 }
 
 // WithSupervisor attaches a background supervisor goroutine to a
-// LockTable: a policy loop that periodically snapshots the table's
-// counters and acts on them — sweeping orphaned ports (and abandoned
-// async grants, which park in the same orphan state) under a liveness
-// budget, resizing per-stripe port pools toward the observed load, and
-// migrating stripes between the flat, MCS, and tree lock shapes as their
-// contention profile shifts. A supervised table needs no caller-driven
-// Reclaim pattern: crash, cancel-after-grant, and abandoned-grant debris
-// all heal in the background. Close() stops the supervisor and joins it
-// before winding down the dispatchers.
+// LockTable: a loop that periodically sweeps orphaned ports (and
+// abandoned async grants, which park in the same orphan state) under a
+// liveness budget. A supervised table needs no caller-driven Reclaim
+// pattern: crash, cancel-after-grant, and abandoned-grant debris all heal
+// in the background. Close() stops the supervisor and joins it before
+// winding down the dispatchers.
 //
-// The zero SupervisorConfig is valid and selects reclaim-only supervision
-// with default cadence; see SupervisorConfig for the adaptive knobs. New,
-// NewTree, and NewMCS ignore the option.
+// The zero SupervisorConfig is valid and selects the default cadence and
+// budget. New, NewTree, and NewMCS ignore the option.
 func WithSupervisor(sc SupervisorConfig) Option {
 	return func(c *config) { c.sup = &sc }
 }

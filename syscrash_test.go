@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	rme "github.com/rmelib/rme"
 )
@@ -18,8 +17,8 @@ import (
 // This file is the system-wide crash harness: CrashAll kills every lessee
 // of a table at injected points — a holder inside its release, a batch
 // mid-Unlock across two stripes, an async grant delivered but never
-// settled, a worker at its first acquisition step — while a stripe-shape
-// migration's quiesce barrier is closed, and the wreckage is checkpointed.
+// settled, a worker at its first acquisition step — and the wreckage is
+// checkpointed.
 // Recovery is then proven two ways: in-process (TestSyscrashCrashAll...)
 // and across a real process boundary (TestSyscrashProcessBoundary execs
 // the test binary again; the child restores from the checkpoint bytes
@@ -44,7 +43,7 @@ const (
 // syscrashDebris is what a CrashAll leaves behind: the keys the dead
 // tenancies were engaged with (one stripe each), which of them were inside
 // their critical sections, and the checkpoint image taken while the
-// wreckage — and stripe keyCS's closed migration gate — was live.
+// wreckage was live.
 type syscrashDebris struct {
 	keys    []uint64 // all debris keys, distinct stripes
 	held    []uint64 // the subset whose stripes' CS the dead tenancy owned
@@ -54,7 +53,7 @@ type syscrashDebris struct {
 
 // crashAll drives one tenancy of each kind onto its own stripe, flips the
 // kill switch so every subsequent protocol step dies, and checkpoints the
-// table mid-migration-quiesce. It models the 2023 paper's crash shape: the
+// wreckage. It models the 2023 paper's crash shape: the
 // whole process dies at once, every in-flight tenancy with it.
 func crashAll(t *testing.T, tbl *rme.LockTable) syscrashDebris {
 	t.Helper()
@@ -99,35 +98,7 @@ func crashAll(t *testing.T, tbl *rme.LockTable) syscrashDebris {
 		t.Fatal("no debris key holds its critical section; the in-CS adoption path would go untested")
 	}
 
-	// Checkpoint while a migration of the dead grantee's stripe is stuck
-	// in its quiesce drain — the mid-migration-quiesce snapshot point.
-	// That stripe's lease is still Held (the grant was delivered, nobody
-	// has noticed the requester died), so the drain blocks on InUse
-	// without spawning its orphan sweep: the barrier stays closed until
-	// its timeout and the wreckage stays exactly as the crash left it.
-	siGate := tbl.ShardIndex(kGrant)
-	target := rme.TreeBackend
-	if tbl.Backend() == rme.TreeBackend {
-		target = rme.FlatBackend // a same-shape migration would no-op without closing the gate
-	}
-	migDone := make(chan bool, 1)
-	go func() { migDone <- tbl.ForceMigrate(siGate, target, 300*time.Millisecond) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for !tbl.GateClosed(siGate) {
-		if time.Now().After(deadline) {
-			t.Fatal("migration barrier never closed over the dead stripe")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
 	image := mustCheckpoint(t, tbl)
-	if ok := <-migDone; ok {
-		t.Fatal("migration drained a stripe holding a dead tenancy")
-	}
-	// The checkpoint is taken; lift the kill switch so the old
-	// incarnation's background sweep (migrateShard spawns one when the
-	// draining stripe holds orphans) can stop crash-looping and exit
-	// instead of spinning past the table's Close.
-	killAll.Store(false)
 	return syscrashDebris{keys: keys, held: held, orphans: orphans, image: image}
 }
 
@@ -196,8 +167,8 @@ func assertRestoredHeals(t *testing.T, nt *rme.LockTable, keys, held []uint64, o
 	}
 }
 
-// TestSyscrashCrashAllRestore is the in-process form: CrashAll, checkpoint
-// mid-quiesce, restore, heal — per backend. The exec'd-child test proves
+// TestSyscrashCrashAllRestore is the in-process form: CrashAll, checkpoint,
+// restore, heal — per backend. The exec'd-child test proves
 // the same flow across a real process boundary; this one keeps the full
 // matrix fast and debuggable.
 func TestSyscrashCrashAllRestore(t *testing.T) {
