@@ -621,3 +621,45 @@ func BenchmarkE17AsyncBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkE19KeyedScaling measures how the keyed passage scales with
+// goroutines: g goroutines Lock/Unlock uniform random keys on a 64×4
+// arena (flat stripes, the rmeperf uniform shape) and on a 32×48 arena
+// (Auto picks MCS stripes, so the per-port line and the O(1) holder
+// lookup are priced at a large port count). Keys are drawn ahead of the
+// timer, so ns/op is the table passage alone; read g2 against g1 for the
+// scaling, which is flat or negative when every passage migrates shared
+// lines between cores.
+func BenchmarkE19KeyedScaling(b *testing.B) {
+	const keySpace = 1 << 20
+	for _, shape := range []struct{ shards, ports int }{{64, 4}, {32, 48}} {
+		for _, g := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%dx%d/g%d", shape.shards, shape.ports, g), func(b *testing.B) {
+				tbl := rme.NewLockTable(shape.shards, shape.ports, rme.WithNodePool(true), rme.WithTableSeed(1))
+				keys := make([][]uint64, g)
+				per := b.N/g + 1
+				for w := range keys {
+					r := xrand.New(uint64(w) + 1)
+					keys[w] = make([]uint64, per)
+					for i := range keys[w] {
+						keys[w][i] = r.Uint64() % keySpace
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for w := 0; w < g; w++ {
+					wg.Add(1)
+					go func(ks []uint64) {
+						defer wg.Done()
+						for _, k := range ks {
+							tbl.Lock(k)
+							tbl.Unlock(k)
+						}
+					}(keys[w])
+				}
+				wg.Wait()
+			})
+		}
+	}
+}

@@ -113,13 +113,13 @@ func (t *LockTable) Checkpoint() ([]byte, error) {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		for p := 0; p < ports; p++ {
-			w := sh.pool.words[p].Load()
+			w := sh.pool.slots[p].word.Load()
 			var flags byte
 			if w&leaseStateMask != leaseFree && sh.m.Held(p) {
 				flags |= ckptFlagInCS
 			}
 			buf = binary.LittleEndian.AppendUint64(buf, w)
-			buf = binary.LittleEndian.AppendUint64(buf, sh.key[p].Load())
+			buf = binary.LittleEndian.AppendUint64(buf, sh.pool.slots[p].key.Load())
 			buf = append(buf, flags)
 		}
 	}
@@ -262,15 +262,16 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 			// immediately on any backend, and everything that queues later
 			// correctly queues behind the orphan.
 			sh.m.LockDone(st.inCS, nil)
+			sh.holder.Store(uint64(st.inCS))
 		}
 		for p := 0; p < ports; p++ {
 			epoch := (st.words[p] >> leaseEpochShift) + 1
 			state := leaseFree
 			if st.words[p]&leaseStateMask != leaseFree {
 				state = leaseOrphaned
-				sh.key[p].Store(st.keys[p])
+				sh.pool.slots[p].key.Store(st.keys[p])
 			}
-			sh.pool.words[p].Store(epoch<<leaseEpochShift | state)
+			sh.pool.slots[p].word.Store(epoch<<leaseEpochShift | state)
 		}
 	}
 	t.finishInit(cfg, orphans > 0)

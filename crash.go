@@ -38,12 +38,23 @@ func AsCrash(r any) (Crash, bool) {
 	return c, ok
 }
 
-// cp is the crash point check, inlined throughout the protocol.
+// cp is the crash point check run at every labelled protocol step. With
+// no hook installed it costs one load and one branch, small enough for the
+// compiler to inline it into the step; the hook call lives in crashAt.
 func (m *Mutex) cp(port int, point string) {
 	if fn := m.crashFn.Load(); fn != nil {
-		if (*fn)(port, point) {
-			panic(Crash{Port: port, Point: point})
-		}
+		crashAt(fn, port, point)
+	}
+}
+
+// crashAt is the outlined slow path of every backend's crash point: it
+// asks the installed hook and panics with a Crash when the hook fires.
+// Kept out of line so that the callers stay within the inlining budget.
+//
+//go:noinline
+func crashAt(fn *CrashFunc, port int, point string) {
+	if (*fn)(port, point) {
+		panic(Crash{Port: port, Point: point})
 	}
 }
 

@@ -14,6 +14,12 @@
 // entry protocol) call Waiter.Consume after each wake and loop; spurious
 // wakes are therefore always harmless.
 //
+// A waiter whose condition is a one-shot flag can keep the flag in the
+// Cell itself: Cell.Latch sets a latch bit in the episode's own word and
+// wakes the open episode with the same CAS, and Cell.Latched is the
+// condition. This is the Signal object's set, and a Latch with nobody
+// waiting delivers (and counts) no wake.
+//
 // # Generations: why reuse is as crash-safe as fresh allocation
 //
 // The paper allocates a fresh spin variable per blocking wait (Figure 2
@@ -82,13 +88,23 @@ import (
 // Waiter states, held in the low bits of the packed word. A Waiter moves
 // Empty→Set on wake, Empty→Parked when the waiter blocks on the channel,
 // Parked→Set on wake (with a channel send), and Set→Empty on Consume.
-// Begin moves any state to Empty while bumping the generation.
+// Begin moves any state to Empty while bumping the generation; Reset and a
+// cancelled AwaitDone move it to Idle. Idle means no episode is open, so a
+// wake (or a Latch) that finds it delivers nothing and counts nothing. The
+// zero word is Idle.
+//
+// latchBit is a persistent flag riding next to the state: the Signal
+// object's Bit (Figure 2), kept in the same word so that setting it and
+// waking the episode open on it is one CAS (Cell.Latch). Every state
+// transition preserves it; only Reset clears it.
 const (
-	stateEmpty uint64 = iota
+	stateIdle uint64 = iota
+	stateEmpty
 	stateSet
 	stateParked
 
 	stateMask uint64 = 3
+	latchBit  uint64 = 4
 	genShift         = 32
 )
 
@@ -113,17 +129,31 @@ type Waiter struct {
 	stats atomic.Pointer[Stats]
 }
 
-// begin opens a fresh episode: bump the generation, clear the state, and
-// drain any park token leaked by a waker of a dead episode. The Swap (not a
-// plain store) is what hands the previous episode's happens-before edges —
-// including the park channel's creation — to a replacement goroutine.
+// begin opens a fresh episode: bump the generation, set the state to Empty
+// (keeping the latch bit), and drain any park token leaked by a waker of a
+// dead episode. It is a CAS loop rather than a blind Swap because a
+// concurrent Latch may land between the load and the write, and its bit
+// must survive; the read-modify-write is also what hands the previous
+// episode's happens-before edges — including the park channel's creation —
+// to a replacement goroutine.
 func (w *Waiter) begin() {
-	g := genOf(w.word.Load()) + 1 // wraps at 2^32, deliberately
-	w.word.Swap(pack(g, stateEmpty))
+	w.restamp(stateEmpty)
 	if w.ch != nil {
 		select {
 		case <-w.ch:
 		default:
+		}
+	}
+}
+
+// restamp bumps the generation and moves the state to state, keeping the
+// latch bit: every wake aimed at the old generation dies on its CAS.
+func (w *Waiter) restamp(state uint64) {
+	for {
+		cur := w.word.Load()
+		g := genOf(cur) + 1 // wraps at 2^32, deliberately
+		if w.word.CompareAndSwap(cur, pack(g, state)|cur&latchBit) {
+			return
 		}
 	}
 }
@@ -155,35 +185,48 @@ func (w *Waiter) Consume() bool {
 		if cur&stateMask != stateSet {
 			return false // nothing delivered; leave a racing wake intact
 		}
-		if w.word.CompareAndSwap(cur, cur&^stateMask) {
+		if w.word.CompareAndSwap(cur, cur&^stateMask|stateEmpty) {
 			return true
 		}
 	}
 }
 
+// open reports whether word carries an open, not yet woken episode — the
+// only states a wake is delivered to.
+func open(word uint64) bool {
+	s := word & stateMask
+	return s == stateEmpty || s == stateParked
+}
+
 // wake delivers a wake to episode gen: CAS the state to Set only if the
-// word still carries that generation. Returns whether the wake was
-// delivered; a stale generation (the target episode was abandoned or
-// completed) or an already-set state means it was lost or collapsed —
-// deliberately, see the package comment.
+// word still carries that generation and the episode is open. Returns
+// whether the wake was delivered; a stale generation (the target episode
+// was abandoned or completed), an idle word or an already-set state means
+// it was lost or collapsed — deliberately, see the package comment.
 func (w *Waiter) wake(gen uint32) bool {
 	for {
 		cur := w.word.Load()
-		if genOf(cur) != gen || cur&stateMask == stateSet {
+		if genOf(cur) != gen || !open(cur) {
 			return false
 		}
-		if w.word.CompareAndSwap(cur, pack(gen, stateSet)) {
-			if cur&stateMask == stateParked {
-				select {
-				case w.ch <- struct{}{}:
-				default: // a stale token already fills the buffer; it substitutes
-				}
-			}
-			if st := w.stats.Load(); st != nil {
-				st.Wakes.Add(1)
-			}
+		if w.word.CompareAndSwap(cur, cur&^stateMask|stateSet) {
+			w.delivered(cur)
 			return true
 		}
+	}
+}
+
+// delivered finishes a wake whose CAS moved the word out of prev: a parked
+// waiter gets its channel token, and the wake is counted.
+func (w *Waiter) delivered(prev uint64) {
+	if prev&stateMask == stateParked {
+		select {
+		case w.ch <- struct{}{}:
+		default: // a stale token already fills the buffer; it substitutes
+		}
+	}
+	if st := w.stats.Load(); st != nil {
+		st.Wakes.Add(1)
 	}
 }
 
@@ -255,17 +298,52 @@ func (c *Cell) Begin(st Strategy) *Waiter {
 // the snapshot, this wake is aimed at the abandoned episode and is lost.
 func (c *Cell) Wake() {
 	cur := c.w.word.Load()
-	if cur&stateMask == stateSet {
-		return // collapse duplicates without a CAS
+	if !open(cur) {
+		return // nobody to wake, or a duplicate: no CAS
 	}
 	c.w.wake(genOf(cur))
 }
 
-// Reset invalidates the Cell for a recycled protocol life (a pooled queue
-// node starting a fresh passage): in-flight wakes aimed at the old life
-// carry the old generation and die on their CAS.
+// Latch sets the Cell's persistent latch bit and wakes the episode open on
+// it, if any, in one CAS — the Signal object's set (Figure 2 lines 1–4)
+// with the bit and the spin word fused. Because the bit lives in the
+// episode's own word, there is no set-then-snapshot window: an episode
+// opened before the CAS is woken by it, and one opened after it finds the
+// bit on its re-check (Begin keeps the bit). A Latch that finds no open
+// episode delivers and counts no wake, and a Latch on an already latched
+// Cell writes nothing.
+func (c *Cell) Latch() {
+	w := &c.w
+	for {
+		cur := w.word.Load()
+		if cur&latchBit != 0 {
+			return
+		}
+		next := cur | latchBit
+		if open(cur) {
+			next = next&^stateMask | stateSet
+		}
+		if w.word.CompareAndSwap(cur, next) {
+			if open(cur) {
+				w.delivered(cur)
+			}
+			return
+		}
+	}
+}
+
+// Latched reports whether the latch bit is set.
+func (c *Cell) Latched() bool { return c.w.word.Load()&latchBit != 0 }
+
+// Reset readies the Cell for a recycled protocol life (a pooled queue node
+// starting a fresh passage) with one store: the latch is cleared, no
+// episode is open, and the generation is bumped, so in-flight wakes aimed
+// at the old life die on their CAS. It must only run while no peer can
+// reach the Cell. The load that precedes the store observes the previous
+// life's last write, which is the happens-before edge Begin's
+// read-modify-write gives a replacement waiter.
 func (c *Cell) Reset() {
-	c.w.begin()
+	c.w.word.Store(pack(genOf(c.w.word.Load())+1, stateIdle))
 }
 
 // AwaitDone opens an episode, re-checks cond, and sleeps until a wake
@@ -299,7 +377,7 @@ func (c *Cell) AwaitDone(st Strategy, cond func() bool, done <-chan struct{}) bo
 	if st.SleepDone(w, done) {
 		return true
 	}
-	c.w.begin() // retire the cancelled episode: racing wakes die on their CAS
+	c.w.restamp(stateIdle) // retire the cancelled episode: racing wakes die on their CAS
 	return cond()
 }
 
@@ -311,7 +389,7 @@ func (c *Cell) AwaitDone(st Strategy, cond func() bool, done <-chan struct{}) bo
 type Stats struct {
 	Publishes  atomic.Uint64 // episodes opened (Cell.Begin calls)
 	Sleeps     atomic.Uint64 // sleeps that found the wake not yet delivered
-	Wakes      atomic.Uint64 // wake deliveries to a live episode
+	Wakes      atomic.Uint64 // wake deliveries to an open episode (none without a waiter)
 	Parks      atomic.Uint64 // sleeps that escalated to a channel park
 	SpinRounds atomic.Uint64 // backoff rounds spent spinning
 }

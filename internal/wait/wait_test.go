@@ -509,3 +509,107 @@ func TestConsumeReportsDelivery(t *testing.T) {
 		t.Fatal("second Consume re-consumed the same wake")
 	}
 }
+
+// TestLatchWakesOpenEpisode: a Latch landing while a waiter sleeps on the
+// latch delivers exactly one counted wake, and the bit survives the
+// episode.
+func TestLatchWakesOpenEpisode(t *testing.T) {
+	for _, inner := range strategies() {
+		t.Run(inner.String(), func(t *testing.T) {
+			var stats Stats
+			st := Instrumented(inner, &stats)
+			var c Cell
+			done := make(chan struct{})
+			go func() {
+				c.AwaitDone(st, c.Latched, nil)
+				close(done)
+			}()
+			for stats.Sleeps.Load() == 0 {
+				runtime.Gosched()
+			}
+			c.Latch()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				t.Fatal("waiter never woken by Latch")
+			}
+			if got := stats.Wakes.Load(); got != 1 {
+				t.Errorf("Wakes = %d, want 1", got)
+			}
+			if !c.Latched() {
+				t.Error("latch bit lost after the episode")
+			}
+		})
+	}
+}
+
+// TestLatchWithoutWaiterCountsNoWake: on a Reset cell — even one whose
+// waiter bound stats in an earlier life — Latch sets the bit and delivers
+// and counts nothing; a second Latch writes nothing; Begin keeps the bit
+// and Reset clears it.
+func TestLatchWithoutWaiterCountsNoWake(t *testing.T) {
+	var stats Stats
+	st := Instrumented(Yield(), &stats)
+	var c Cell
+	c.Begin(st) // bind the stats, as a pooled node's earlier life would
+	c.Reset()
+	before := c.w.word.Load()
+	c.Latch()
+	if !c.Latched() {
+		t.Fatal("Latch did not set the bit")
+	}
+	if c.w.Woken() {
+		t.Fatal("Latch on an idle cell delivered a wake")
+	}
+	if got := stats.Wakes.Load(); got != 0 {
+		t.Fatalf("Wakes = %d after a Latch with no waiter, want 0", got)
+	}
+	latched := c.w.word.Load()
+	if latched != before|latchBit {
+		t.Fatalf("Latch changed more than the bit: %#x -> %#x", before, latched)
+	}
+	c.Latch()
+	if c.w.word.Load() != latched {
+		t.Fatal("a second Latch wrote the word")
+	}
+	c.Begin(st)
+	if !c.Latched() {
+		t.Fatal("Begin dropped the latch bit")
+	}
+	c.Reset()
+	if c.Latched() {
+		t.Fatal("Reset kept the latch bit")
+	}
+	if c.w.gen() == genOf(latched) {
+		t.Fatal("Reset did not bump the generation")
+	}
+}
+
+// TestLatchVersusBeginStorm races a Latch against the waiter opening its
+// episode, over many recycled lives of one cell: whichever lands first,
+// the waiter must return (Begin keeps a bit that beat it; a Latch after
+// it wakes the open episode).
+func TestLatchVersusBeginStorm(t *testing.T) {
+	for _, st := range []Strategy{Yield(), SpinThenPark(1)} {
+		t.Run(st.String(), func(t *testing.T) {
+			var c Cell
+			for i := 0; i < 2000; i++ {
+				c.Reset()
+				done := make(chan struct{})
+				go func() {
+					c.AwaitDone(st, c.Latched, nil)
+					close(done)
+				}()
+				if i%2 == 0 {
+					runtime.Gosched()
+				}
+				c.Latch()
+				select {
+				case <-done:
+				case <-time.After(2 * time.Second):
+					t.Fatalf("life %d: waiter missed the latch", i)
+				}
+			}
+		})
+	}
+}

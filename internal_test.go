@@ -303,14 +303,14 @@ func TestPaddedLayout(t *testing.T) {
 	if s := unsafe.Sizeof(paddedUint64{}); s%cacheLineSize != 0 {
 		t.Errorf("paddedUint64 size %d not a multiple of %d", s, cacheLineSize)
 	}
-	if s := unsafe.Sizeof(paddedQnodePtr{}); s%cacheLineSize != 0 {
-		t.Errorf("paddedQnodePtr size %d not a multiple of %d", s, cacheLineSize)
-	}
 	if s := unsafe.Sizeof(rlockNode{}); s%cacheLineSize != 0 {
 		t.Errorf("rlockNode size %d not a multiple of %d", s, cacheLineSize)
 	}
-	if s := unsafe.Sizeof(portFree{}); s%cacheLineSize != 0 {
-		t.Errorf("portFree size %d not a multiple of %d", s, cacheLineSize)
+	if s := unsafe.Sizeof(portSlot{}); s%cacheLineSize != 0 {
+		t.Errorf("portSlot size %d not a multiple of %d", s, cacheLineSize)
+	}
+	if s := unsafe.Sizeof(leaseSlot{}); s%cacheLineSize != 0 {
+		t.Errorf("leaseSlot size %d not a multiple of %d", s, cacheLineSize)
 	}
 }
 

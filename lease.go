@@ -2,8 +2,10 @@ package rme
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/rmelib/rme/internal/wait"
 )
@@ -89,10 +91,7 @@ type PortLease struct {
 // crash-recovery story as the locks: a dead worker loses nothing that a
 // replacement can't pick up from the word.
 type PortLeaser struct {
-	words []paddedUint64
-	// clock rotates the scan start so independent acquirers don't all
-	// hammer port 0's word.
-	clock atomic.Uint64
+	slots []leaseSlot
 	// strat is how blocked acquirers pass the time; chain is the engine's
 	// multi-waiter list they park on, one wake handed out per port freed.
 	strat wait.Strategy
@@ -100,6 +99,19 @@ type PortLeaser struct {
 	// freeCond is anyFree bound once at construction, so the Acquire slow
 	// path does not allocate a method-value closure per wait.
 	freeCond func() bool
+}
+
+// leaseSlot is one port's line of the leaser: the ownership word, plus two
+// registers a LockTable keeps per tenancy — the key the tenancy is locking
+// and the port's count of completed acquisitions. Keeping them on the
+// lease's line means a keyed passage writes one line of per-port state: the
+// lease CAS brings the line to the acquiring core, and the key store and
+// the count hit it there. A standalone leaser leaves both at zero.
+type leaseSlot struct {
+	word     atomic.Uint64
+	key      atomic.Uint64
+	acquires atomic.Uint64
+	_        [cacheLineSize - (3*unsafe.Sizeof(atomic.Uint64{}))%cacheLineSize]byte
 }
 
 // NewPortLeaser creates a leaser for ports identities, all initially free.
@@ -111,7 +123,7 @@ func NewPortLeaser(ports int, opts ...Option) *PortLeaser {
 		panic("rme: NewPortLeaser needs at least one port")
 	}
 	cfg := buildConfig(opts)
-	p := &PortLeaser{words: make([]paddedUint64, ports), strat: cfg.strat}
+	p := &PortLeaser{slots: make([]leaseSlot, ports), strat: cfg.strat}
 	p.freeCond = p.anyFree
 	return p
 }
@@ -119,8 +131,8 @@ func NewPortLeaser(ports int, opts ...Option) *PortLeaser {
 // anyFree reports whether some port is currently free — the wake-up
 // condition blocked acquirers re-check against the register/release race.
 func (p *PortLeaser) anyFree() bool {
-	for i := range p.words {
-		if p.words[i].Load()&leaseStateMask == leaseFree {
+	for i := range p.slots {
+		if p.slots[i].word.Load()&leaseStateMask == leaseFree {
 			return true
 		}
 	}
@@ -129,27 +141,32 @@ func (p *PortLeaser) anyFree() bool {
 
 // Ports returns the number of identities the leaser manages, fixed at
 // construction.
-func (p *PortLeaser) Ports() int { return len(p.words) }
+func (p *PortLeaser) Ports() int { return len(p.slots) }
 
 // TryAcquire claims a free port, bumping its epoch, and returns its lease.
 // It fails (ok == false) only when no port is currently free — orphaned
 // ports do not count as free until a recovery sweep reclaims them.
 func (p *PortLeaser) TryAcquire() (l PortLease, ok bool) {
-	n := len(p.words)
-	// Reduce before converting: on 32-bit targets a truncated int(clock)
-	// can be negative, and Go's % would keep the sign.
-	start := int(p.clock.Add(1) % uint64(n))
+	// The scan starts at a random port drawn from the runtime's per-thread
+	// generator, so independent acquirers spread over the ports without
+	// writing any shared word to do it: the only write of a successful
+	// TryAcquire is the claimed port's own CAS.
+	n := len(p.slots)
+	start := 0
+	if n > 1 {
+		start = rand.IntN(n)
+	}
 	for i := 0; i < n; i++ {
 		port := start + i
 		if port >= n {
 			port -= n
 		}
-		w := p.words[port].Load()
+		w := p.slots[port].word.Load()
 		if w&leaseStateMask != leaseFree {
 			continue
 		}
 		epoch := (w >> leaseEpochShift) + 1
-		if p.words[port].CompareAndSwap(w, epoch<<leaseEpochShift|leaseHeld) {
+		if p.slots[port].word.CompareAndSwap(w, epoch<<leaseEpochShift|leaseHeld) {
 			return PortLease{Port: port, epoch: epoch}, true
 		}
 	}
@@ -216,11 +233,11 @@ func (p *PortLeaser) Orphan(l PortLease) {
 
 // transition CASes port l.Port from (l.epoch, from) to (l.epoch, to).
 func (p *PortLeaser) transition(l PortLease, from, to uint64) bool {
-	if l.Port < 0 || l.Port >= len(p.words) {
-		panic(fmt.Sprintf("rme: lease port %d out of range [0,%d)", l.Port, len(p.words)))
+	if l.Port < 0 || l.Port >= len(p.slots) {
+		panic(fmt.Sprintf("rme: lease port %d out of range [0,%d)", l.Port, len(p.slots)))
 	}
 	old := l.epoch<<leaseEpochShift | from
-	return p.words[l.Port].CompareAndSwap(old, l.epoch<<leaseEpochShift|to)
+	return p.slots[l.Port].word.CompareAndSwap(old, l.epoch<<leaseEpochShift|to)
 }
 
 // OrphanOnCrash runs f under a guard that marks the lease orphaned if f
@@ -257,7 +274,7 @@ func (p *PortLeaser) orphanGuard(l PortLease) {
 // snapshot: a concurrent acquire or sweep may have moved the word by the
 // time the caller acts on it.
 func (p *PortLeaser) State(port int) LeaseState {
-	switch p.words[port].Load() & leaseStateMask {
+	switch p.slots[port].word.Load() & leaseStateMask {
 	case leaseFree:
 		return LeaseFree
 	case leaseHeld:
@@ -270,7 +287,7 @@ func (p *PortLeaser) State(port int) LeaseState {
 }
 
 func (p *PortLeaser) epochOf(port int) uint64 {
-	return p.words[port].Load() >> leaseEpochShift
+	return p.slots[port].word.Load() >> leaseEpochShift
 }
 
 // InUse counts ports not currently free (held, orphaned, or mid-reclaim) —
@@ -278,8 +295,8 @@ func (p *PortLeaser) epochOf(port int) uint64 {
 // as State.
 func (p *PortLeaser) InUse() int {
 	n := 0
-	for i := range p.words {
-		if p.words[i].Load()&leaseStateMask != leaseFree {
+	for i := range p.slots {
+		if p.slots[i].word.Load()&leaseStateMask != leaseFree {
 			n++
 		}
 	}
@@ -330,8 +347,8 @@ func (p *PortLeaser) ReclaimOrphans(recoverPort func(port int)) int {
 // orphaned→reclaiming CAS this caller wins is appended to dst. The caller
 // owes each claimed lease a recovery followed by finishReclaim.
 func (p *PortLeaser) claimOrphans(dst []PortLease) []PortLease {
-	for port := range p.words {
-		w := p.words[port].Load()
+	for port := range p.slots {
+		w := p.slots[port].word.Load()
 		if w&leaseStateMask != leaseOrphaned {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/rmelib/rme/internal/wait"
 	"github.com/rmelib/rme/internal/xrand"
@@ -218,22 +219,17 @@ func (b ShardBackend) resolve(ports int) ShardBackend {
 
 // lockShard is one stripe: a k-ported recoverable lock (flat, tree, or
 // MCS — see portLock), the lease pool multiplexing workers onto its ports,
-// and the key each leased port is currently locking. The lock's shape and
-// port count are fixed at construction.
+// and the port holding the stripe's critical section. The key each leased
+// port is locking, and the port's acquire count, live on the port's lease
+// slot (see leaseSlot), so a passage writes one line of per-port state.
+// The lock's shape and port count are fixed at construction.
 type lockShard struct {
 	m    portLock
 	pool *PortLeaser
-	// key[p] is the key port p's current tenancy is about: stored between
-	// lease acquisition and the port's Lock, read by Held/Unlock scans.
-	// Only meaningful while the port's lease is not free.
-	key []atomic.Uint64
 	// stats collects the stripe's wait-engine events: the table wraps
 	// every shard's wait strategy with wait.Instrumented at construction,
 	// so Wakes here is the stripe's RMR proxy (see LockTable.Stats).
 	stats *wait.Stats
-	// acquires counts completed tenancy acquisitions of the stripe —
-	// sync, async, and batch — the "ops" denominator of Stats' wakes/op.
-	acquires atomic.Uint64
 	// aborts / timeouts count acquisitions shed before completion —
 	// cancelled contexts and expired deadlines respectively — across every
 	// context-aware entry point (LockContext, LockBatchContext,
@@ -250,6 +246,16 @@ type lockShard struct {
 	disp    dispatcher
 	reqMu   sync.Mutex
 	reqFree *asyncReq
+
+	_ [cacheLineSize]byte
+	// holder is the port that last entered the stripe's critical section,
+	// written by every acquisition path once its passage wins (see
+	// entered) and by restore when it adopts a dead holder's section. It
+	// is a hint, validated on read (see holding): while a port holds the
+	// section it is exact, because the next writer must enter the section
+	// first. It sits alone on its line so that its per-passage write does
+	// not evict the read-mostly fields above from other cores.
+	holder paddedUint64
 }
 
 // tableSeedClock differentiates the default seeds of successive tables.
@@ -327,7 +333,6 @@ func newTableArena(shards, ports int, seed uint64, backend ShardBackend, cfg con
 			sh.m = New(ports, shOpts...)
 		}
 		sh.pool = NewPortLeaser(ports, shOpts...)
-		sh.key = make([]atomic.Uint64, ports)
 		sh.stats = stats
 	}
 	return t
@@ -455,7 +460,9 @@ func (t *LockTable) Stats() TableStats {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		s := &ts.Shards[i]
-		s.Acquires = sh.acquires.Load()
+		for p := range sh.pool.slots {
+			s.Acquires += sh.pool.slots[p].acquires.Load()
+		}
 		s.Publishes = sh.stats.Publishes.Load()
 		s.Wakes = sh.stats.Wakes.Load()
 		s.Sleeps = sh.stats.Sleeps.Load()
@@ -544,7 +551,7 @@ func (t *LockTable) lockKeyDone(sh *lockShard, key uint64, done <-chan struct{})
 	if !ok {
 		return PortLease{}, false
 	}
-	sh.key[l.Port].Store(key)
+	sh.pool.slots[l.Port].key.Store(key)
 	if !sh.lockPortDone(l, done) {
 		sh.abortTenancy(t, l)
 		return PortLease{}, false
@@ -587,7 +594,7 @@ func (t *LockTable) TryLock(key uint64) bool {
 	if !ok {
 		return false
 	}
-	sh.key[l.Port].Store(key)
+	sh.pool.slots[l.Port].key.Store(key)
 	if !sh.m.freeHint(l.Port) {
 		sh.pool.Release(l)
 		return false
@@ -637,16 +644,24 @@ func (t *LockTable) LockContextString(ctx context.Context, key string) error {
 }
 
 // lockPortDone runs the port's passage under the orphan-on-crash guard,
-// bumping the stripe's acquire counter only when the lock was won (named
-// methods so the defers are open-coded: the crash-free keyed passage must
-// not allocate).
+// recording the entry only when the lock was won (named methods so the
+// defers are open-coded: the crash-free keyed passage must not allocate).
 func (sh *lockShard) lockPortDone(l PortLease, done <-chan struct{}) bool {
 	defer sh.pool.orphanGuard(l)
 	if !sh.m.LockDone(l.Port, done) {
 		return false
 	}
-	sh.acquires.Add(1)
+	sh.entered(l.Port)
 	return true
+}
+
+// entered records that port has just won the stripe's critical section:
+// it counts the acquisition on the port's lease slot and names the port in
+// the holder word. Every acquisition path — sync, context, try, async and
+// batch — calls it right after its passage wins.
+func (sh *lockShard) entered(port int) {
+	sh.pool.slots[port].acquires.Add(1)
+	sh.holder.Store(uint64(port))
 }
 
 // shed records a cancelled acquisition on the stripe and returns the error
@@ -701,13 +716,16 @@ func (sh *lockShard) abortTenancy(t *LockTable, l PortLease) {
 // runs the port's recovery to completion, absorbing injected crashes:
 // LockDone recovers whatever the dead (or departed) worker left — CS
 // re-entry, queue repair, exit completion — Unlock releases, and a crash
-// during Unlock is in turn recovered by the next LockDone. The port then
-// returns to the pool. l must be in the reclaiming state.
+// during Unlock is in turn recovered by the next LockDone. The holder word
+// names the port while the recovery holds the section, so Held keeps
+// answering for the dead tenancy's key. The port then returns to the
+// pool. l must be in the reclaiming state.
 func (sh *lockShard) recoverPort(l PortLease) {
 	for {
 		if crashes(func() { sh.m.LockDone(l.Port, nil) }) {
 			continue
 		}
+		sh.holder.Store(uint64(l.Port))
 		if !crashes(func() { sh.m.Unlock(l.Port) }) {
 			break
 		}
@@ -715,25 +733,34 @@ func (sh *lockShard) recoverPort(l PortLease) {
 	sh.pool.finishReclaim(l)
 }
 
-// holderOf locates the caller's tenancy: the port whose lease is held,
-// whose registered key matches, and which owns the stripe's critical
-// section. Under the Unlock contract (the caller holds key's lock) exactly
-// the caller's port satisfies all three — other ports with the same
-// registered key are queued waiters, and no other port can be in the CS.
-func (sh *lockShard) holderOf(key uint64) (PortLease, bool) {
-	for p := range sh.key {
-		if sh.key[p].Load() != key {
-			continue
-		}
-		w := sh.pool.words[p].Load()
-		if w&leaseStateMask != leaseHeld {
-			continue
-		}
-		if sh.m.Held(p) {
-			return PortLease{Port: p, epoch: w >> leaseEpochShift}, true
-		}
+// holding reports the stripe's holder for key: the port named by the
+// holder word, provided its registered key is key, its lease is not free,
+// and it owns the stripe's critical section. It returns that port's lease
+// word. One port is checked, whatever the port count: the holder word is
+// exact while any port holds the section, so if the check fails no port
+// holds it for key — other ports registered with key are queued waiters.
+func (sh *lockShard) holding(key uint64) (port int, word uint64, ok bool) {
+	port = int(sh.holder.Load())
+	s := &sh.pool.slots[port]
+	if s.key.Load() != key {
+		return 0, 0, false
 	}
-	return PortLease{}, false
+	word = s.word.Load()
+	if word&leaseStateMask == leaseFree || !sh.m.Held(port) {
+		return 0, 0, false
+	}
+	return port, word, true
+}
+
+// holderOf locates the caller's tenancy: the stripe's holder for key, with
+// a held (not orphaned) lease. Under the Unlock contract (the caller holds
+// key's lock) that is exactly the caller's port.
+func (sh *lockShard) holderOf(key uint64) (PortLease, bool) {
+	p, w, ok := sh.holding(key)
+	if !ok || w&leaseStateMask != leaseHeld {
+		return PortLease{}, false
+	}
+	return PortLease{Port: p, epoch: w >> leaseEpochShift}, true
 }
 
 // Unlock releases the lock for key. It panics if the calling goroutine's
@@ -759,19 +786,8 @@ func (t *LockTable) UnlockString(key string) { t.Unlock(hashString(key)) }
 // snapshot, meaningful to the caller only under external ordering (e.g.
 // the caller itself holds the key, or the system is quiesced).
 func (t *LockTable) Held(key uint64) bool {
-	sh := t.shardOf(key)
-	for p := range sh.key {
-		if sh.key[p].Load() != key {
-			continue
-		}
-		if sh.pool.words[p].Load()&leaseStateMask == leaseFree {
-			continue
-		}
-		if sh.m.Held(p) {
-			return true
-		}
-	}
-	return false
+	_, _, ok := t.shardOf(key).holding(key)
+	return ok
 }
 
 // HeldString is Held for a string key.
@@ -850,7 +866,11 @@ func (t *LockTable) Reclaim() int { return t.ReclaimWith(nil) }
 // batch tenancy dies holding several stripes whose recoveries depend on
 // each other through live waiters' hold-and-wait chains (so a sweep that
 // finished one shard before claiming the next could block forever on a
-// stripe whose drain needs a later shard's orphan recovered first).
+// stripe whose drain needs a later shard's orphan recovered first). For
+// the same reason the sweep keeps claiming while it waits: an orphan born
+// after the first claim pass — a holder that died, or a grant abandoned —
+// can stand in front of a claimed recovery, and the sweep recovers it
+// too rather than wait for a sweep that may never come.
 //
 // If fn is non-nil it is called for each orphan before its recovery runs,
 // with the key the dead tenancy was locking (a batch tenancy reports its
@@ -869,32 +889,70 @@ func (t *LockTable) ReclaimWith(fn func(key uint64, inCS bool)) int {
 		sh *lockShard
 		l  PortLease
 	}
-	var claims []claim
-	var scratch []PortLease
-	for i := range t.shards {
-		sh := &t.shards[i]
-		scratch = sh.pool.claimOrphans(scratch[:0])
-		for _, l := range scratch {
-			claims = append(claims, claim{sh: sh, l: l})
+	var (
+		claims  []claim
+		scratch []PortLease
+		pending atomic.Int64
+		idle    = make(chan struct{}, 1)
+	)
+	// claimAll claims every shard's orphans, then starts their recoveries.
+	claimAll := func() int {
+		claims = claims[:0]
+		for i := range t.shards {
+			sh := &t.shards[i]
+			scratch = sh.pool.claimOrphans(scratch[:0])
+			for _, l := range scratch {
+				claims = append(claims, claim{sh: sh, l: l})
+			}
 		}
+		pending.Add(int64(len(claims)))
+		for _, c := range claims {
+			go func(c claim) {
+				if fn != nil {
+					fn(c.sh.pool.slots[c.l.Port].key.Load(), c.sh.m.Held(c.l.Port))
+				}
+				c.sh.recoverPort(c.l)
+				if pending.Add(-1) == 0 {
+					select {
+					case idle <- struct{}{}:
+					default:
+					}
+				}
+			}(c)
+		}
+		return len(claims)
 	}
-	if len(claims) == 0 {
+	total := claimAll()
+	if total == 0 {
 		return 0
 	}
-	var wg sync.WaitGroup
-	for _, c := range claims {
-		wg.Add(1)
-		go func(c claim) {
-			defer wg.Done()
-			if fn != nil {
-				fn(c.sh.key[c.l.Port].Load(), c.sh.m.Held(c.l.Port))
-			}
-			c.sh.recoverPort(c.l)
-		}(c)
+	// Wait for the recoveries, claiming orphans born meanwhile: a recovery
+	// queued behind a holder that dies (or is abandoned) after the claim
+	// pass can only finish once that new orphan is recovered, and this
+	// sweep may be the only one left to do it.
+	wait := reclaimRescanMin
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for pending.Load() != 0 {
+		select {
+		case <-idle:
+		case <-timer.C:
+			total += claimAll()
+			wait = min(2*wait, reclaimRescanMax)
+			timer.Reset(wait)
+		}
 	}
-	wg.Wait()
-	return len(claims)
+	return total
 }
+
+// ReclaimWith's rescan period while it waits for its recoveries: it
+// starts short, so an orphan born mid-sweep is picked up promptly, and
+// doubles up to the cap, so a sweep waiting on a long critical section
+// costs little.
+const (
+	reclaimRescanMin = 250 * time.Microsecond
+	reclaimRescanMax = 16 * time.Millisecond
+)
 
 // Do runs fn while holding key's lock, surviving worker deaths in the
 // lock protocol itself: a Crash panic out of the acquisition is absorbed,

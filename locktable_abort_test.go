@@ -566,3 +566,61 @@ func TestAbortStormZipf(t *testing.T) {
 		}
 	})
 }
+
+// TestReclaimSweepsOrphansBornMidSweep pins the sweep's liveness when an
+// orphan appears while the sweep waits. A sweep claims orphan A, which is
+// queued behind live holder H, so A's recovery waits for H. Then H is
+// abandoned: it becomes an orphan holding the critical section, and
+// nothing but a sweep can release it. A sweep that waited for A alone
+// would block forever, and with no other caller left to sweep (workers
+// queued on the stripe, dispatchers parked on its lease chain) the table
+// would wedge — the TestAbortStormZipf hang, where an async grant whose
+// context expires before delivery abandons itself. The sweep must pick
+// up H itself and return.
+func TestReclaimSweepsOrphansBornMidSweep(t *testing.T) {
+	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
+		const k = 7
+		tbl := rme.NewLockTable(1, 2, rme.WithShardBackend(backend))
+		g := <-tbl.LockAsync(k) // H
+
+		// A: a waiter queued behind H and parked as an orphan mid-queue.
+		tbl.SetNoAbortFixup(true)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+		if err := tbl.LockContext(ctx, k); err == nil {
+			t.Fatal("LockContext acquired a held key")
+		}
+		cancel()
+		tbl.SetNoAbortFixup(false)
+		if got := tbl.Orphans(); got != 1 {
+			t.Fatalf("Orphans = %d after the parked abort, want 1", got)
+		}
+
+		swept := make(chan int, 1)
+		go func() { swept <- tbl.Reclaim() }()
+		// Wait until the sweep has claimed A (its recovery now waits on H).
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			if tbl.PortLeaseState(0, 0) == rme.LeaseReclaiming || tbl.PortLeaseState(0, 1) == rme.LeaseReclaiming {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the sweep never claimed the parked orphan")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		g.Abandon() // H: an orphan holding the critical section
+
+		select {
+		case n := <-swept:
+			if n != 2 {
+				t.Errorf("Reclaim reclaimed %d ports, want 2 (the parked waiter and the abandoned holder)", n)
+			}
+		case <-time.After(5 * time.Second):
+			tbl.Reclaim() // release H from outside so the stuck sweep can finish
+			<-swept
+			t.Fatal("Reclaim blocked on a recovery queued behind an orphan born mid-sweep")
+		}
+		if !tbl.Quiesced() {
+			t.Fatalf("table not quiesced after the sweep: %d in use, %d orphans", tbl.InUse(), tbl.Orphans())
+		}
+	})
+}

@@ -185,7 +185,7 @@ func (b *Batch) lockAllDone(done <-chan struct{}) *lockShard {
 		// ReclaimWith report a stripe-representative key for batch
 		// tenancies, the same way a striped Lock reports the key it was
 		// called with rather than every key it excludes.
-		sh.key[l.Port].Store(b.keys[i])
+		sh.pool.slots[l.Port].key.Store(b.keys[i])
 		// Record before locking: a crash inside the passage must find
 		// this stripe in the held set.
 		b.stripes = append(b.stripes, batchStripe{sh: sh, l: l})
@@ -197,7 +197,7 @@ func (b *Batch) lockAllDone(done <-chan struct{}) *lockShard {
 			b.stripes = b.stripes[:len(b.stripes)-1]
 			return sh
 		}
-		sh.acquires.Add(1)
+		sh.entered(l.Port)
 		i = j
 	}
 	return nil

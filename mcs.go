@@ -217,9 +217,7 @@ func (m *MCSMutex) SetCrashFunc(fn CrashFunc) {
 
 func (m *MCSMutex) cp(port int, point string) {
 	if fn := m.crashFn.Load(); fn != nil {
-		if (*fn)(port, point) {
-			panic(Crash{Port: port, Point: point})
-		}
+		crashAt(fn, port, point)
 	}
 }
 

@@ -34,13 +34,17 @@ type qnode struct {
 // retire/consume skew before the pool starts leaking nodes to the GC.
 const poolCap = 4
 
-// portFree is a port's node free list. Only the port's (single, by the
-// port discipline) goroutine touches it, so the fields need no atomics;
-// the padding keeps neighboring ports' lists off each other's cache lines.
-type portFree struct {
-	nodes [poolCap]*qnode
-	n     int
-	_     [cacheLineSize - (unsafe.Sizeof([poolCap]*qnode{})+unsafe.Sizeof(int(0)))%cacheLineSize]byte
+// portSlot is one port's record: its port-table entry (Figure 3's
+// Node[p]) and its node free list, on one padded line, so a passage writes
+// one line of per-port state and neighbouring ports never share one. node
+// is read by every repair's scan; the free list is touched only by the
+// port's (single, by the port discipline) goroutine, so it needs no
+// atomics.
+type portSlot struct {
+	node  atomic.Pointer[qnode]
+	free  [poolCap]*qnode
+	nfree int
+	_     [cacheLineSize - (unsafe.Sizeof(atomic.Pointer[qnode]{})+unsafe.Sizeof([poolCap]*qnode{})+unsafe.Sizeof(int(0)))%cacheLineSize]byte
 }
 
 // Mutex is a k-ported recoverable mutual-exclusion lock: the runtime port
@@ -62,11 +66,9 @@ type Mutex struct {
 	crashN, incsN, exitN, specialN *qnode
 
 	tail    atomic.Pointer[qnode]
-	node    []paddedQnodePtr
+	slot    []portSlot
 	rl      *rlock
 	crashFn atomic.Pointer[CrashFunc]
-
-	free []portFree
 
 	// repairStarts/repairEnds fence node recycling against queue repairs:
 	// starts is bumped by a repairer after winning the repair lock and
@@ -103,8 +105,7 @@ func New(ports int, opts ...Option) *Mutex {
 		incsN:    new(qnode),
 		exitN:    new(qnode),
 		specialN: new(qnode),
-		node:     make([]paddedQnodePtr, ports),
-		free:     make([]portFree, ports),
+		slot:     make([]portSlot, ports),
 		scratch:  newRepairScratch(ports),
 	}
 	m.rl = newRLock(ports, cfg.strat)
@@ -137,7 +138,7 @@ func (m *Mutex) isSentinel(n *qnode) bool {
 // returns immediately and application-level redo/undo may be needed).
 func (m *Mutex) Held(port int) bool {
 	m.checkPort(port)
-	n := m.node[port].Load()
+	n := m.slot[port].node.Load()
 	return n != nil && n.pred.Load() == m.incsN
 }
 
@@ -170,9 +171,9 @@ func (m *Mutex) getNode(port int) *qnode {
 // pred just before the overwrite lands, and still satisfy every check —
 // leaving it holding the node in its fragment graph while we recycle it.
 func (m *Mutex) popFree(port int) *qnode {
-	f := &m.free[port]
-	for i := 0; i < f.n; i++ {
-		n := f.nodes[i]
+	f := &m.slot[port]
+	for i := 0; i < f.nfree; i++ {
+		n := f.free[i]
 		if !n.consumed.Load() {
 			continue
 		}
@@ -182,9 +183,9 @@ func (m *Mutex) popFree(port int) *qnode {
 		}
 		// Unlist before touching the node: a crash between here and the
 		// publication at L12 merely leaks the node to the GC.
-		f.n--
-		f.nodes[i] = f.nodes[f.n]
-		f.nodes[f.n] = nil
+		f.nfree--
+		f.free[i] = f.free[f.nfree]
+		f.free[f.nfree] = nil
 		n.recycle()
 		return n
 	}
@@ -197,13 +198,13 @@ func (m *Mutex) pushFree(port int, n *qnode) {
 	if !m.pool {
 		return
 	}
-	f := &m.free[port]
-	if f.n == poolCap {
-		copy(f.nodes[:], f.nodes[1:])
-		f.n--
+	f := &m.slot[port]
+	if f.nfree == poolCap {
+		copy(f.free[:], f.free[1:])
+		f.nfree--
 	}
-	f.nodes[f.n] = n
-	f.n++
+	f.free[f.nfree] = n
+	f.nfree++
 }
 
 // recycle returns a consumed node to its zero state for a fresh passage.
@@ -247,14 +248,14 @@ func (m *Mutex) LockDone(port int, done <-chan struct{}) bool {
 	m.checkPort(port)
 	for {
 		m.cp(port, "L10")
-		n := m.node[port].Load()
+		n := m.slot[port].node.Load()
 		var pred *qnode
 		if n == nil {
 			// Fresh passage: enqueue with one FAS.
 			m.cp(port, "L11")
 			n = m.getNode(port)
 			m.cp(port, "L12")
-			m.node[port].Store(n)
+			m.slot[port].node.Store(n)
 			m.cp(port, "L13")
 			pred = m.tail.Swap(n)
 			m.cp(port, "L14")
@@ -278,7 +279,7 @@ func (m *Mutex) LockDone(port int, done <-chan struct{}) bool {
 				m.cp(port, "L28")
 				n.cs.set()
 				m.cp(port, "L29")
-				m.node[port].Store(nil)
+				m.slot[port].node.Store(nil)
 				m.pushFree(port, n)
 				continue
 			}
@@ -317,7 +318,7 @@ func (m *Mutex) freeHint(int) bool {
 // port's next Lock call completes the release before acquiring again.
 func (m *Mutex) Unlock(port int) {
 	m.checkPort(port)
-	n := m.node[port].Load()
+	n := m.slot[port].node.Load()
 	if n == nil || n.pred.Load() != m.incsN {
 		panic(fmt.Sprintf("rme: Unlock of port %d which does not hold the lock", port))
 	}
@@ -326,7 +327,7 @@ func (m *Mutex) Unlock(port int) {
 	m.cp(port, "L28")
 	n.cs.set()
 	m.cp(port, "L29")
-	m.node[port].Store(nil)
+	m.slot[port].node.Store(nil)
 	m.pushFree(port, n)
 }
 
@@ -412,7 +413,7 @@ func (m *Mutex) repair(port int, mynode, mypred *qnode) *qnode {
 	sc.reset()
 	for i := 0; i < m.ports; i++ {
 		m.cp(port, "L33")
-		cur := m.node[i].Load()
+		cur := m.slot[i].node.Load()
 		if cur == nil {
 			continue
 		}

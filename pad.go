@@ -31,17 +31,8 @@ type paddedInt64 struct {
 }
 
 // paddedUint64 is an atomic.Uint64 alone on its cache line(s). Used for
-// the lease table's per-port ownership words, which unrelated workers CAS
-// concurrently while hunting for a free port.
+// a stripe's holder word, which every passage of the stripe writes.
 type paddedUint64 struct {
 	atomic.Uint64
 	_ [cacheLineSize - unsafe.Sizeof(atomic.Uint64{})%cacheLineSize]byte
-}
-
-// paddedQnodePtr is an atomic.Pointer[qnode] alone on its cache line(s).
-// Used for the port table Node[p], which every repair scans while owners
-// store to their own slot.
-type paddedQnodePtr struct {
-	atomic.Pointer[qnode]
-	_ [cacheLineSize - unsafe.Sizeof(atomic.Pointer[qnode]{})%cacheLineSize]byte
 }

@@ -1,10 +1,6 @@
 package rme
 
-import (
-	"sync/atomic"
-
-	"github.com/rmelib/rme/internal/wait"
-)
+import "github.com/rmelib/rme/internal/wait"
 
 // signal is the runtime port of the paper's Signal object (Figure 2): a
 // single-shot flag with set and wait, where the waiter spins on a word it
@@ -12,29 +8,25 @@ import (
 // busy-wait local; at runtime it additionally keeps each waiter on its own
 // cache line most of the time.
 //
-// All waiting is delegated to the internal/wait engine: the signal holds
-// the persistent bit and the publication Cell (Figure 2's GoAddr), which
-// owns the reusable generation-stamped spin word every wait on this signal
-// runs on; how the waiter passes the time is the mutex's wait.Strategy.
+// All waiting is delegated to the internal/wait engine. The signal is one
+// publication Cell (Figure 2's GoAddr), which owns the reusable
+// generation-stamped spin word every wait on this signal runs on, and the
+// persistent Bit is a latch bit in that same word. So set is one CAS that
+// latches the bit and wakes the open episode, if any — Figure 2's one
+// write plus one wake, fused — and a set with nobody waiting delivers and
+// counts no wake. How the waiter passes the time is the mutex's
+// wait.Strategy.
 //
 // The algorithm guarantees no two wait executions are ever concurrent on
 // the same signal (a node's CS_Signal is awaited only by its unique
 // successor; NonNil_Signal only under the repair lock).
 type signal struct {
-	// bit is the persistent state: 1 once set() has happened (Figure 2's
-	// Bit).
-	bit atomic.Bool
-	// cell is the publication slot of the current waiter's spin word
-	// (Figure 2's GoAddr).
 	cell wait.Cell
 }
 
 // set makes the signal's state 1 and wakes the published waiter, if any
 // (Figure 2 lines 1–4).
-func (s *signal) set() {
-	s.bit.Store(true)
-	s.cell.Wake()
-}
+func (s *signal) set() { s.cell.Latch() }
 
 // waitDone returns once the signal's state is 1 (Figure 2 lines 5–9), or
 // once done closes first, and reports whether the signal was set by the
@@ -52,23 +44,21 @@ func (s *signal) set() {
 // cancelled (and retired) episode is harmless — the bit stays set, and any
 // later wait on the signal returns immediately off the fast path.
 func (s *signal) waitDone(st wait.Strategy, done <-chan struct{}) bool {
-	if s.bit.Load() {
+	if s.cell.Latched() {
 		return true
 	}
-	return s.cell.AwaitDone(st, s.bit.Load, done)
+	return s.cell.AwaitDone(st, s.cell.Latched, done)
 }
 
-// isSet reports the state without side effects (used by tests).
-func (s *signal) isSet() bool { return s.bit.Load() }
+// isSet reports the state without side effects.
+func (s *signal) isSet() bool { return s.cell.Latched() }
 
 // forceSet initializes a pre-set signal (the SpecialNode's).
-func (s *signal) forceSet() { s.bit.Store(true) }
+func (s *signal) forceSet() { s.cell.Latch() }
 
-// reset returns the signal to a fresh state for a recycled qnode life:
-// the bit is cleared and the cell's generation bumped, so in-flight wakes
-// aimed at the previous life die on their CAS. Only called while the
-// enclosing node is unreachable from the protocol.
-func (s *signal) reset() {
-	s.bit.Store(false)
-	s.cell.Reset()
-}
+// reset returns the signal to a fresh state for a recycled qnode life with
+// one store: the bit is cleared, no episode is open, and the cell's
+// generation is bumped, so in-flight wakes aimed at the previous life die
+// on their CAS. Only called while the enclosing node is unreachable from
+// the protocol.
+func (s *signal) reset() { s.cell.Reset() }

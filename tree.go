@@ -204,9 +204,7 @@ func (t *TreeMutex) SetCrashFunc(fn CrashFunc) {
 // Mutex.cp).
 func (t *TreeMutex) tcp(proc int, point string) {
 	if fn := t.crashFn.Load(); fn != nil {
-		if (*fn)(proc, point) {
-			panic(Crash{Port: proc, Point: point})
-		}
+		crashAt(fn, proc, point)
 	}
 }
 
@@ -307,7 +305,7 @@ func (t *TreeMutex) replayRelease(proc, cursor int) {
 // It mirrors internal/core's BeginExitRecover.
 func (m *Mutex) exitRecover(port int) {
 	m.cp(port, "X.read")
-	n := m.node[port].Load()
+	n := m.slot[port].node.Load()
 	if n == nil {
 		return // exit already complete
 	}
@@ -323,6 +321,6 @@ func (m *Mutex) exitRecover(port int) {
 	m.cp(port, "L28")
 	n.cs.set()
 	m.cp(port, "L29")
-	m.node[port].Store(nil)
+	m.slot[port].node.Store(nil)
 	m.pushFree(port, n)
 }
